@@ -24,8 +24,7 @@ from .general import (GeneralModel, PartialModel, HomogeneousModel,
                       entails_partial, entails_homogeneous,
                       valid_at_submodel, valid_in_model, modular_mk_evaluate)
 from .flatten import FlatWorld, flatten, verify_flatten_class, equivalence_report
-from .higher import (HigherOrderModel, LevelPolicy, lift, evaluate,
-                     is_unirelational, is_finitely_relational,
+from .higher import (HigherOrderModel, lift, evaluate, is_unirelational,
                      wrap_prop_model, from_birelational)
 from .search import SearchBounds, SearchOutcome, enumerate_models, find_countermodel
 

@@ -15,11 +15,11 @@ IK forcing is defined on birelational models, MK forcing on strong ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
-from .kripke import Frame, ModelError, PropModel, UnknownWorldError, World
+from .formulas import Formula
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
+                     World, cached, relation_masks)
 
 __all__ = [
     "BirelationalModel", "ConditionReport", "CONDITIONS",
@@ -49,16 +49,37 @@ class BirelationalModel:
         for a, b in self.r:
             if a not in self.frame.worlds or b not in self.frame.worlds:
                 raise ModelError(f"r endpoint {a!r} or {b!r} is not a world")
-        # reuse the propositional validation (heredity, known worlds)
-        PropModel(self.frame, self.val)
+        self.prop  # the propositional validation (heredity, known worlds)
 
-    @property
+    @cached
     def prop(self) -> PropModel:
         return PropModel(self.frame, self.val)
 
     @property
     def worlds(self) -> frozenset:
         return self.frame.worlds
+
+    @cached
+    def classes(self) -> dict:
+        """classify's verdicts so far, by require_unique."""
+        return {}
+
+    @cached
+    def ik_kernel(self) -> Kernel:
+        """IK: box reads r from every later world, diamond reads r."""
+        index, up = self.frame.compiled
+        r = relation_masks(index, self.r)
+        box = [0] * len(r)
+        for a, b in self.frame.le:
+            box[index[a]] |= r[index[b]]
+        return Kernel(index, up, self.prop.atom_masks, box, r)
+
+    @cached
+    def mk_kernel(self) -> Kernel:
+        """MK: box and diamond both read r."""
+        index, up = self.frame.compiled
+        r = relation_masks(index, self.r)
+        return Kernel(index, up, self.prop.atom_masks, r, r)
 
 
 @dataclass(frozen=True)
@@ -131,80 +152,22 @@ def _condition_ok(m: BirelationalModel, c: str, unique: bool) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 16)
 def classify(m: BirelationalModel, require_unique: bool = True) -> str:
     """Strongest class the model belongs to: 'excessive' > 'strong' >
     'birelational' > 'none'.  Witness uniqueness is part of each class
     definition; pass require_unique=False to accept non-unique witnesses."""
-    if not (_condition_ok(m, "F1", require_unique)
-            and _condition_ok(m, "F2", require_unique)):
-        return "none"
-    if not _condition_ok(m, "F3", require_unique):
-        return "birelational"
-    if not _condition_ok(m, "F4", require_unique):
-        return "strong"
-    return "excessive"
+    if require_unique not in m.classes:
+        cls = "excessive"
+        for c, weaker in (("F1", "none"), ("F2", "none"),
+                          ("F3", "birelational"), ("F4", "strong")):
+            if not _condition_ok(m, c, require_unique):
+                cls = weaker
+                break
+        m.classes[require_unique] = cls
+    return m.classes[require_unique]
 
 
 _RANK = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}
-
-
-def _successors(m: BirelationalModel) -> dict:
-    out: dict[World, set] = {w: set() for w in m.frame.worlds}
-    for a, b in m.r:
-        out[a].add(b)
-    return out
-
-
-@lru_cache(maxsize=1 << 16)
-def _extension_ik(m: BirelationalModel, f: Formula) -> frozenset:
-    frame = m.frame
-    if isinstance(f, Atom):
-        return frozenset(w for w, atom in m.val if atom == f.name)
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, And):
-        return _extension_ik(m, f.left) & _extension_ik(m, f.right)
-    if isinstance(f, Or):
-        return _extension_ik(m, f.left) | _extension_ik(m, f.right)
-    if isinstance(f, Implies):
-        ante, cons = _extension_ik(m, f.left), _extension_ik(m, f.right)
-        return frozenset(w for w in frame.worlds
-                         if all(v in cons for v in frame.above(w) if v in ante))
-    succ = _successors(m)
-    if isinstance(f, Box):
-        # monotonicity built in: quantify over later worlds, then r
-        inner = _extension_ik(m, f.inner)
-        return frozenset(w for w in frame.worlds
-                         if all(j in inner
-                                for v in frame.above(w) for j in succ[v]))
-    if isinstance(f, Diamond):
-        inner = _extension_ik(m, f.inner)
-        return frozenset(w for w in frame.worlds
-                         if any(j in inner for j in succ[w]))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@lru_cache(maxsize=1 << 16)
-def _extension_mk(m: BirelationalModel, f: Formula) -> frozenset:
-    frame = m.frame
-    if isinstance(f, Box):
-        inner = _extension_mk(m, f.inner)
-        succ = _successors(m)
-        return frozenset(w for w in frame.worlds if all(j in inner for j in succ[w]))
-    if isinstance(f, Diamond):
-        inner = _extension_mk(m, f.inner)
-        succ = _successors(m)
-        return frozenset(w for w in frame.worlds if any(j in inner for j in succ[w]))
-    if isinstance(f, And):
-        return _extension_mk(m, f.left) & _extension_mk(m, f.right)
-    if isinstance(f, Or):
-        return _extension_mk(m, f.left) | _extension_mk(m, f.right)
-    if isinstance(f, Implies):
-        ante, cons = _extension_mk(m, f.left), _extension_mk(m, f.right)
-        return frozenset(w for w in frame.worlds
-                         if all(v in cons for v in frame.above(w) if v in ante))
-    return _extension_ik(m, f)  # atoms and Bottom
 
 
 def _require(m: BirelationalModel, rank: str, require_unique: bool) -> None:
@@ -221,44 +184,29 @@ def forces_ik(m: BirelationalModel, w: World, f: Formula, *,
               require_unique: bool = True) -> bool:
     """IK forcing: box looks at r-successors of all later worlds, diamond at
     direct r-successors."""
-    _require(m, "birelational", require_unique)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-    return w in _extension_ik(m, f)
+    return entails_ik(m, w, (), f, require_unique=require_unique)
 
 
 def forces_mk(m: BirelationalModel, w: World, f: Formula, *,
               require_unique: bool = True) -> bool:
     """MK forcing on strong models: box quantifies over direct r-successors only."""
-    _require(m, "strong", require_unique)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-    return w in _extension_mk(m, f)
-
-
-def _entails(ext, m: BirelationalModel, w: World,
-             gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = list(gamma)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-    if not gamma:
-        return w in ext(m, f)
-    cons = ext(m, f)
-    gamma_exts = [ext(m, g) for g in gamma]
-    return all(v in cons for v in m.frame.above(w)
-               if all(v in ge for ge in gamma_exts))
+    return entails_mk(m, w, (), f, require_unique=require_unique)
 
 
 def entails_ik(m: BirelationalModel, w: World, gamma: Iterable[Formula],
                f: Formula, *, require_unique: bool = True) -> bool:
     _require(m, "birelational", require_unique)
-    return _entails(_extension_ik, m, w, gamma, f)
+    if w not in m.frame.worlds:
+        raise UnknownWorldError(w)
+    return m.ik_kernel.entails(w, gamma, f)
 
 
 def entails_mk(m: BirelationalModel, w: World, gamma: Iterable[Formula],
                f: Formula, *, require_unique: bool = True) -> bool:
     _require(m, "strong", require_unique)
-    return _entails(_extension_mk, m, w, gamma, f)
+    if w not in m.frame.worlds:
+        raise UnknownWorldError(w)
+    return m.mk_kernel.entails(w, gamma, f)
 
 
 def valid_ik(m: BirelationalModel, gamma: Iterable[Formula], f: Formula, *,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 __all__ = [
     "Formula", "Atom", "Bottom", "And", "Or", "Implies", "Box", "Diamond",
     "BOTTOM", "TOP", "Not", "ParseError",
-    "parse", "render", "complexity", "subformulas", "modal_free",
+    "parse", "render", "complexity", "subformulas", "subformula_dag",
+    "modal_free",
 ]
 
 
@@ -243,22 +244,48 @@ def complexity(f: Formula) -> int:
     return 1 + complexity(f.left) + complexity(f.right)
 
 
+def _children(f: Formula) -> tuple:
+    if isinstance(f, (And, Or, Implies)):
+        return (f.left, f.right)
+    if isinstance(f, (Box, Diamond)):
+        return (f.inner,)
+    if isinstance(f, (Atom, Bottom)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subformula_dag(f: Formula) -> tuple[list[Formula], list[tuple]]:
+    """The distinct subformulas of f in post-order, f itself last, each with a
+    key: (Atom, name) for an atom, otherwise the node's class followed by the
+    list positions of its children.  The walk is iterative and compares keys,
+    never whole formulas, so nesting depth costs no recursion."""
+    nodes: list[Formula] = []
+    keys: list[tuple] = []
+    position: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id of a visited object -> its position
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in done:
+            continue
+        kids = _children(g)
+        if kids and not expanded:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(kids))
+            continue
+        key = (Atom, g.name) if isinstance(g, Atom) else \
+            (type(g), *(done[id(c)] for c in kids))
+        if key not in position:
+            position[key] = len(nodes)
+            nodes.append(g)
+            keys.append(key)
+        done[id(g)] = position[key]
+    return nodes, keys
+
+
 def subformulas(f: Formula) -> list[Formula]:
     """All distinct subformulas in post-order; f itself comes last."""
-    seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        if isinstance(g, (Box, Diamond)):
-            walk(g.inner)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        seen[g] = None
-
-    walk(f)
-    return list(seen)
+    return subformula_dag(f)[0]
 
 
 def modal_free(f: Formula) -> bool:

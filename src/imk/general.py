@@ -18,12 +18,12 @@ Homogeneous evaluation is the MK reading, partial evaluation the IK reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
-from .kripke import (Frame, ModelError, PropModel, UnknownWorldError, World,
-                     is_partial_copy)
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
+                     World, cached, is_partial_copy, label_masks,
+                     relation_masks)
 
 __all__ = [
     "GeneralModel", "PartialModel", "HomogeneousModel",
@@ -76,9 +76,6 @@ class GeneralModel:
                 return m
         raise UnknownSubmodelError(k)
 
-    def successors(self, k: str) -> list[str]:
-        return sorted(b for a, b in self.succ if a == k)
-
     def cells(self) -> list[tuple[str, World]]:
         return [(k, w) for k, m in self.submodels for w in m.frame.sorted_worlds()]
 
@@ -114,6 +111,19 @@ class PartialModel:
                 raise InvalidModelClassError(
                     f"submodel {k!r} is not a partial copy of reference {self.reference!r}")
 
+    @cached
+    def kernel(self) -> Kernel:
+        """Box links (k, w) to every (k2, w2) with k succ k2 and w <= w2 in
+        the reference order; diamond links (k, w) to (k2, w)."""
+        g = self.general
+        worlds = {k: m.frame.worlds for k, m in g.submodels}
+        ref_le = g.submodel(self.reference).frame.le
+        box = [((k, w), (k2, w2)) for k, k2 in g.succ for w, w2 in ref_le
+               if w in worlds[k] and w2 in worlds[k2]]
+        dia = [((k, w), (k2, w)) for k, k2 in g.succ for w in worlds[k]
+               if w in worlds[k2]]
+        return _cell_kernel(g, box, dia)
+
 
 @dataclass(frozen=True)
 class HomogeneousModel:
@@ -126,6 +136,26 @@ class HomogeneousModel:
     @property
     def frame(self) -> Frame:
         return self.general.submodels[0][1].frame
+
+    @cached
+    def kernel(self) -> Kernel:
+        """Box and diamond both link (k, w) to (k2, w) when k succ k2."""
+        links = [((k, w), (k2, w)) for k, k2 in self.general.succ
+                 for w in self.frame.worlds]
+        return _cell_kernel(self.general, links, links)
+
+
+def _cell_kernel(g: GeneralModel, box: list, dia: list) -> Kernel:
+    """Kernel over the (member, world) cells of g; the order and the
+    valuation stay inside each member."""
+    index = {(k, w): i for i, (k, w) in
+             enumerate((k, w) for k, m in g.submodels for w in m.frame.worlds)}
+    up = relation_masks(index, (((k, a), (k, b)) for k, m in g.submodels
+                                for a, b in m.frame.le))
+    atoms = label_masks(index, (((k, w), atom) for k, m in g.submodels
+                                for w, atom in m.val))
+    return Kernel(index, up, atoms, relation_masks(index, box),
+                  relation_masks(index, dia))
 
 
 def as_partial(g: GeneralModel, reference: str | None = None) -> PartialModel:
@@ -146,124 +176,25 @@ def _check_cell(g: GeneralModel, k: str, w: World) -> None:
         raise UnknownWorldError(w)
 
 
-@lru_cache(maxsize=1 << 16)
-def _extension_partial(m: PartialModel, f: Formula) -> frozenset:
-    """Cells (submodel, world) where f holds, under the partial-model clauses.
-
-    The box clause reads the order in the reference model: every pair
-    (w, w') related there with w' present in the alternative member counts.
-    On worlds present in both members this agrees with the member's own
-    order, because partial copies restrict the reference order.
-    """
-    g = m.general
-    ref_le = g.submodel(m.reference).frame.le
-    if isinstance(f, Atom):
-        return frozenset((k, w) for k, sm in g.submodels
-                         for w, atom in sm.val if atom == f.name)
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, And):
-        return _extension_partial(m, f.left) & _extension_partial(m, f.right)
-    if isinstance(f, Or):
-        return _extension_partial(m, f.left) | _extension_partial(m, f.right)
-    if isinstance(f, Implies):
-        ante, cons = _extension_partial(m, f.left), _extension_partial(m, f.right)
-        return frozenset((k, w) for k, sm in g.submodels for w in sm.frame.worlds
-                         if all((k, v) in cons for v in sm.frame.above(w)
-                                if (k, v) in ante))
-    if isinstance(f, Box):
-        inner = _extension_partial(m, f.inner)
-        out = []
-        for k, sm in g.submodels:
-            succs = [(k2, g.submodel(k2)) for k2 in g.successors(k)]
-            for w in sm.frame.worlds:
-                if all((k2, w2) in inner
-                       for k2, sm2 in succs
-                       for w2 in sm2.frame.worlds
-                       if (w, w2) in ref_le):
-                    out.append((k, w))
-        return frozenset(out)
-    if isinstance(f, Diamond):
-        inner = _extension_partial(m, f.inner)
-        out = []
-        for k, sm in g.submodels:
-            succs = [(k2, g.submodel(k2)) for k2 in g.successors(k)]
-            for w in sm.frame.worlds:
-                if any(w in sm2.frame.worlds and (k2, w) in inner
-                       for k2, sm2 in succs):
-                    out.append((k, w))
-        return frozenset(out)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@lru_cache(maxsize=1 << 16)
-def _extension_homogeneous(h: HomogeneousModel, f: Formula) -> frozenset:
-    """Cells where f holds under the homogeneous clauses: box and diamond
-    look at the same world in alternative members, with no order quantifier."""
-    g = h.general
-    frame = h.frame
-    if isinstance(f, Atom):
-        return frozenset((k, w) for k, sm in g.submodels
-                         for w, atom in sm.val if atom == f.name)
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, And):
-        return _extension_homogeneous(h, f.left) & _extension_homogeneous(h, f.right)
-    if isinstance(f, Or):
-        return _extension_homogeneous(h, f.left) | _extension_homogeneous(h, f.right)
-    if isinstance(f, Implies):
-        ante, cons = _extension_homogeneous(h, f.left), _extension_homogeneous(h, f.right)
-        return frozenset((k, w) for k, _ in g.submodels for w in frame.worlds
-                         if all((k, v) in cons for v in frame.above(w)
-                                if (k, v) in ante))
-    if isinstance(f, Box):
-        inner = _extension_homogeneous(h, f.inner)
-        return frozenset((k, w) for k, _ in g.submodels for w in frame.worlds
-                         if all((k2, w) in inner for k2 in g.successors(k)))
-    if isinstance(f, Diamond):
-        inner = _extension_homogeneous(h, f.inner)
-        return frozenset((k, w) for k, _ in g.submodels for w in frame.worlds
-                         if any((k2, w) in inner for k2 in g.successors(k)))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def forces_partial(m: PartialModel, k: str, w: World, f: Formula) -> bool:
-    _check_cell(m.general, k, w)
-    return (k, w) in _extension_partial(m, f)
+    return entails_partial(m, k, w, (), f)
 
 
 def forces_homogeneous(h: HomogeneousModel, k: str, w: World, f: Formula) -> bool:
-    _check_cell(h.general, k, w)
-    return (k, w) in _extension_homogeneous(h, f)
-
-
-def _entails_cells(ext: frozenset, gamma_exts: list, sm: PropModel,
-                   k: str, w: World) -> bool:
-    return all((k, v) in ext for v in sm.frame.above(w)
-               if all((k, v) in ge for ge in gamma_exts))
+    return entails_homogeneous(h, k, w, (), f)
 
 
 def entails_partial(m: PartialModel, k: str, w: World,
                     gamma: Iterable[Formula], f: Formula) -> bool:
     """Entailment runs inside one member, over its own order."""
-    gamma = list(gamma)
     _check_cell(m.general, k, w)
-    if not gamma:
-        return forces_partial(m, k, w, f)
-    return _entails_cells(_extension_partial(m, f),
-                          [_extension_partial(m, g) for g in gamma],
-                          m.general.submodel(k), k, w)
+    return m.kernel.entails((k, w), gamma, f)
 
 
 def entails_homogeneous(h: HomogeneousModel, k: str, w: World,
                         gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = list(gamma)
     _check_cell(h.general, k, w)
-    if not gamma:
-        return forces_homogeneous(h, k, w, f)
-    return _entails_cells(_extension_homogeneous(h, f),
-                          [_extension_homogeneous(h, g) for g in gamma],
-                          h.general.submodel(k), k, w)
+    return h.kernel.entails((k, w), gamma, f)
 
 
 def _entails_for(m) -> Callable:

@@ -2,12 +2,12 @@
 
 A level-0 model is an ordinary relational structure over worlds (one or more
 named relations plus an atom valuation).  A level-n model's objects are
-named level-(n-1) models, with named relations between them.  Evaluation is
-policy-driven rather than stored as a table:
+named level-(n-1) models, with named relations between them.  Evaluation
+follows two fixed rules rather than a stored table:
 
-* modal_rule "mk": box and diamond read the single top-level relation,
+* the mk modal rule: box and diamond read the single top-level relation,
   moving the first path coordinate and keeping the rest fixed;
-* lift_rule "universal": truth at an object is truth at all of its points,
+* the universal lift rule: truth at an object is truth at all of its points,
   so a path that stops short of a world is closed off by conjunction.
 
 Propositional connectives are evaluated inside the bottom model, whose
@@ -18,7 +18,7 @@ surface and carry no guarantees beyond the documented rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -27,9 +27,9 @@ from .general import HomogeneousModel
 from .kripke import Frame, ModelError, PropModel
 
 __all__ = [
-    "LevelPolicy", "HigherOrderModel", "BadPathError", "PolicyGapError",
+    "HigherOrderModel", "BadPathError", "PolicyGapError",
     "wrap_prop_model", "from_birelational", "lift",
-    "is_unirelational", "is_finitely_relational", "evaluate",
+    "is_unirelational", "evaluate",
 ]
 
 
@@ -38,17 +38,7 @@ class BadPathError(ModelError):
 
 
 class PolicyGapError(ModelError):
-    """The formula is not handled by any level under the active policy."""
-
-
-@dataclass(frozen=True)
-class LevelPolicy:
-    modal_rule: str = "mk"
-    lift_rule: str = "universal"
-
-    def __post_init__(self):
-        if self.modal_rule != "mk" or self.lift_rule != "universal":
-            raise ModelError("only the mk/universal policy ships")
+    """The formula is not handled by any level under the evaluation rules."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +47,6 @@ class HigherOrderModel:
     objects: tuple    # pairs (name, child); child is None at level 0
     relations: tuple  # pairs (name, frozenset of name pairs), sorted
     val: frozenset = frozenset()  # (world, atom) pairs, level 0 only
-    policy: LevelPolicy = field(default_factory=LevelPolicy)
 
     def __post_init__(self):
         if self.level < 0:
@@ -105,11 +94,11 @@ class HigherOrderModel:
         raise ModelError(f"no relation named {name!r}")
 
 
-def wrap_prop_model(m: PropModel, policy: LevelPolicy = LevelPolicy()) -> HigherOrderModel:
+def wrap_prop_model(m: PropModel) -> HigherOrderModel:
     return HigherOrderModel(0,
                             tuple((w, None) for w in m.frame.sorted_worlds()),
                             (("le", m.frame.le),),
-                            m.val, policy)
+                            m.val)
 
 
 def from_birelational(frame: Frame, r: frozenset, val: frozenset) -> HigherOrderModel:
@@ -120,11 +109,11 @@ def from_birelational(frame: Frame, r: frozenset, val: frozenset) -> HigherOrder
                             val)
 
 
-def lift(h: HomogeneousModel, policy: LevelPolicy = LevelPolicy()) -> HigherOrderModel:
+def lift(h: HomogeneousModel) -> HigherOrderModel:
     """A homogeneous family as a level-1 model: the members become level-0
     objects, the accessibility between members becomes the sole relation."""
-    objects = tuple((k, wrap_prop_model(m, policy)) for k, m in h.general.submodels)
-    return HigherOrderModel(1, objects, (("succ", h.general.succ),), policy=policy)
+    objects = tuple((k, wrap_prop_model(m)) for k, m in h.general.submodels)
+    return HigherOrderModel(1, objects, (("succ", h.general.succ),))
 
 
 def is_unirelational(m: HigherOrderModel) -> bool:
@@ -133,14 +122,6 @@ def is_unirelational(m: HigherOrderModel) -> bool:
     if m.level == 0:
         return True
     return all(is_unirelational(c) for _, c in m.objects)
-
-
-def is_finitely_relational(m: HigherOrderModel) -> bool:
-    # every constructible model stores finitely many relations; the recursion
-    # documents where the boundary would be checked for richer classes
-    if m.level == 0:
-        return True
-    return all(is_finitely_relational(c) for _, c in m.objects)
 
 
 @lru_cache(maxsize=4096)
@@ -175,7 +156,7 @@ def _eval(m: HigherOrderModel, path: tuple, f: Formula) -> bool:
     if len(path) > m.level + 1:
         raise BadPathError(f"path {path!r} is longer than the model is deep")
     if len(path) <= m.level:
-        # lift_rule: truth at an object is truth at every one-step extension
+        # lift rule: truth at an object is truth at every one-step extension
         target = _descend(m, path)
         return all(_eval(m, path + (name,), f) for name in target.object_names())
 

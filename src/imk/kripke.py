@@ -5,21 +5,27 @@ reflexivity and transitivity; builders compute the closure.  Valuations are
 hereditary: an atom forced at a world stays forced at every later world.
 World labels are plain identifiers in files, but any hashable value works
 internally (flattening uses (world, submodel) pairs).
+
+``Kernel`` is the one forcing evaluator of the package: propositional, IK,
+MK, partial and homogeneous forcing each compile a model into numbered
+points with bitmask rows, and differ only in the rows they build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
+from operator import and_
 from typing import Hashable, Iterable, Mapping
 
-from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
+from .formulas import (And, Atom, Bottom, Box, Formula, Implies, Or,
+                       subformula_dag)
 
 __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
-    "build_frame", "build_prop_model", "closure",
-    "forces", "entails", "model_valid",
+    "build_frame", "build_prop_model", "closure", "relation_masks", "label_masks",
+    "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "world_key",
 ]
 
@@ -47,6 +53,27 @@ class UnsupportedConnectiveError(ModelError):
     """Box/Diamond have no clauses in purely propositional models."""
 
 
+class cached:
+    """A property computed on first use and then kept on the instance, like
+    functools.cached_property, but stored through object.__setattr__: that
+    works on frozen dataclasses and, unlike writing to __dict__, keeps
+    CPython's fast access to the instance's other attributes."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def world_key(w: World):
     """Sort key that works for both string worlds and tuple-shaped worlds."""
     return tuple(w) if isinstance(w, tuple) else (w,)
@@ -54,17 +81,42 @@ def world_key(w: World):
 
 def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
     """Reflexive-transitive closure of pairs over the given world set."""
-    ws = list(worlds)
-    rel = {(w, w) for w in ws} | set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+    ws = set(worlds)
+    succ: dict[World, set] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    rel = {(w, w) for w in ws}
+    for a in ws | succ.keys():
+        reach: set = set()
+        stack = list(succ.get(a, ()))
+        while stack:
+            b = stack.pop()
+            if b not in reach:
+                reach.add(b)
+                stack.extend(succ.get(b, ()))
+        rel.update((a, b) for b in reach)
     return frozenset(rel)
+
+
+def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
+    """Row i holds bit j for every pair (a, b) with index[a] == i, index[b] == j."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
+
+
+def label_masks(index: Mapping, pairs: Iterable[tuple]) -> dict[str, int]:
+    """For (point, atom) pairs: each atom's set of points as a bitmask."""
+    out: dict[str, int] = {}
+    for p, atom in pairs:
+        out[atom] = out.get(atom, 0) | 1 << index[p]
+    return out
+
+
+def _point_at(index: Mapping, mask: int):
+    """The point behind the lowest set bit of a nonzero mask."""
+    return list(index)[(mask & -mask).bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -81,24 +133,32 @@ class Frame:
         for w in self.worlds:
             if (w, w) not in self.le:
                 raise ModelError(f"le is not reflexive at {w!r}")
+        index, up = self.compiled
+        for a, b in self.le:  # transitive: up[b] lies inside up[a]
+            extra = up[index[b]] & ~up[index[a]]
+            if extra:
+                d = _point_at(index, extra)
+                raise ModelError(f"le is not transitive: {a!r} {b!r} {d!r}")
+
+    @cached
+    def compiled(self) -> tuple[dict, list[int]]:
+        """(index, up): a number for each world, and for each number the
+        bitmask of the worlds at or above it."""
+        index = {w: i for i, w in enumerate(self.worlds)}
+        return index, relation_masks(index, self.le)
+
+    @cached
+    def _above(self) -> dict:
+        out: dict[World, set] = {w: set() for w in self.worlds}
         for a, b in self.le:
-            for c, d in self.le:
-                if b == c and (a, d) not in self.le:
-                    raise ModelError(f"le is not transitive: {a!r} {b!r} {d!r}")
+            out[a].add(b)
+        return {w: frozenset(s) for w, s in out.items()}
 
     def above(self, w: World) -> frozenset:
-        return _above(self)[w]
+        return self._above[w]
 
     def sorted_worlds(self) -> list:
         return sorted(self.worlds, key=world_key)
-
-
-@lru_cache(maxsize=4096)
-def _above(frame: Frame) -> dict:
-    out: dict[World, set] = {w: set() for w in frame.worlds}
-    for a, b in frame.le:
-        out[a].add(b)
-    return {w: frozenset(s) for w, s in out.items()}
 
 
 def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame:
@@ -111,6 +171,73 @@ def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame
     return Frame(ws, closure(ws, gens))
 
 
+class Kernel:
+    """Forcing over one model compiled to points 0..n-1, every set of points
+    an int bitmask.  up[i] holds the points at or above i; box[i] and dia[i]
+    hold the points that box and diamond read from i, and are None where the
+    semantics has no modal clauses.  Each semantics differs from the others
+    only in the rows it builds."""
+
+    def __init__(self, index: Mapping, up: list[int], atoms: Mapping[str, int],
+                 box: list[int] | None = None, dia: list[int] | None = None):
+        self.index, self.up, self.atoms, self.box, self.dia = index, up, atoms, box, dia
+        # extensions of -> / [] / <> nodes, keyed by the class and the
+        # extensions of the children, so equal subformulas share one entry
+        self._nodes: dict[tuple, int] = {}
+        self._roots: dict[int, tuple[Formula, int]] = {}  # id(f) -> (f, extension)
+
+    def extension(self, f: Formula) -> int:
+        """Bitmask of the points that force f."""
+        hit = self._roots.get(id(f))
+        if hit is not None and hit[0] is f:
+            return hit[1]
+        exts: list[int] = []
+        for cls, *args in subformula_dag(f)[1]:
+            if cls is Atom:
+                ext = self.atoms.get(args[0], 0)
+            elif cls is Bottom:
+                ext = 0
+            elif cls is And:
+                ext = exts[args[0]] & exts[args[1]]
+            elif cls is Or:
+                ext = exts[args[0]] | exts[args[1]]
+            else:
+                key = (cls, *(exts[i] for i in args))
+                ext = self._nodes.get(key)
+                if ext is None:
+                    ext = self._nodes[key] = self._select(*key)
+            exts.append(ext)
+        self._roots[id(f)] = (f, exts[-1])
+        return exts[-1]
+
+    def _select(self, cls, inner: int, right: int = 0) -> int:
+        """Points whose row meets (diamond) or misses (-> and box) a mask."""
+        if cls is Implies:
+            rows, mask, meets = self.up, inner & ~right, False
+        elif self.box is None:
+            raise UnsupportedConnectiveError(
+                f"propositional models have no clause for {cls.__name__}")
+        elif cls is Box:
+            rows, mask, meets = self.box, ~inner, False
+        else:
+            rows, mask, meets = self.dia, inner, True
+        out = 0
+        for i, row in enumerate(rows):
+            if bool(row & mask) == meets:
+                out |= 1 << i
+        return out
+
+    def entails(self, p, gamma: Iterable[Formula], f: Formula) -> bool:
+        """Forcing of f at p when gamma is empty; otherwise every point
+        above p that forces all of gamma forces f."""
+        i = self.index[p]
+        premises = [self.extension(g) for g in gamma]
+        ext = self.extension(f)
+        if not premises:
+            return bool(ext >> i & 1)
+        return not self.up[i] & ~ext & reduce(and_, premises)
+
+
 @dataclass(frozen=True)
 class PropModel:
     frame: Frame
@@ -120,10 +247,20 @@ class PropModel:
         for w, _ in self.val:
             if w not in self.frame.worlds:
                 raise UnknownWorldError(w)
-        for a, b in self.frame.le:
-            for w, atom in self.val:
-                if w == a and (b, atom) not in self.val:
-                    raise HeredityError(a, b, atom)
+        index, up = self.frame.compiled
+        for w, atom in self.val:
+            missing = up[index[w]] & ~self.atom_masks[atom]
+            if missing:
+                raise HeredityError(w, _point_at(index, missing), atom)
+
+    @cached
+    def atom_masks(self) -> dict[str, int]:
+        return label_masks(self.frame.compiled[0], self.val)
+
+    @cached
+    def kernel(self) -> Kernel:
+        index, up = self.frame.compiled
+        return Kernel(index, up, self.atom_masks)
 
     def atoms(self, w: World) -> frozenset[str]:
         if w not in self.frame.worlds:
@@ -144,44 +281,17 @@ def build_prop_model(frame: Frame, val: Mapping[World, Iterable[str]]) -> PropMo
     return PropModel(frame, frozenset(pairs))
 
 
-@lru_cache(maxsize=1 << 16)
-def _extension(model: PropModel, f: Formula) -> frozenset:
-    """Worlds forcing f, computed bottom-up over the subformula."""
-    frame = model.frame
-    if isinstance(f, Atom):
-        return frozenset(w for w, atom in model.val if atom == f.name)
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, And):
-        return _extension(model, f.left) & _extension(model, f.right)
-    if isinstance(f, Or):
-        return _extension(model, f.left) | _extension(model, f.right)
-    if isinstance(f, Implies):
-        ante, cons = _extension(model, f.left), _extension(model, f.right)
-        return frozenset(w for w in frame.worlds
-                         if all(v in cons for v in frame.above(w) if v in ante))
-    raise UnsupportedConnectiveError(
-        f"propositional models have no clause for {type(f).__name__}")
-
-
 def forces(model: PropModel, w: World, f: Formula) -> bool:
     """Intuitionistic forcing at w: atoms by valuation, -> quantifies over later worlds."""
-    if w not in model.frame.worlds:
-        raise UnknownWorldError(w)
-    return w in _extension(model, f)
+    return entails(model, w, (), f)
 
 
 def entails(model: PropModel, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
     """With empty gamma this is plain forcing; otherwise every later world
     forcing all of gamma must force f."""
-    gamma = list(gamma)
     if w not in model.frame.worlds:
         raise UnknownWorldError(w)
-    if not gamma:
-        return forces(model, w, f)
-    return all(forces(model, v, f)
-               for v in model.frame.above(w)
-               if all(forces(model, v, g) for g in gamma))
+    return model.kernel.entails(w, gamma, f)
 
 
 def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:

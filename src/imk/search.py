@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .birelational import BirelationalModel, classify, forces_ik, forces_mk
+from .birelational import _RANK, BirelationalModel, classify, forces_ik, forces_mk
 from .formulas import Formula
 from .general import (HomogeneousModel, PartialModel, forces_homogeneous,
                       forces_partial, general_model)
@@ -98,8 +98,9 @@ def _valuations(frame: Frame, atoms: list[str]) -> Iterator[frozenset]:
         yield frozenset((w, atom) for atom, ext in zip(atoms, choice) for w in ext)
 
 
-def _relation_subsets(worlds: list) -> Iterator[frozenset]:
-    pairs = [(a, b) for a in worlds for b in worlds]
+def _relation_subsets(points: list) -> Iterator[frozenset]:
+    """Every relation over points (worlds or member ids), in a fixed order."""
+    pairs = [(a, b) for a in points for b in points]
     for bits in itertools.product((False, True), repeat=len(pairs)):
         yield frozenset(p for p, keep in zip(pairs, bits) if keep)
 
@@ -140,15 +141,14 @@ def enumerate_models(b: SearchBounds, atoms: list[str] | None = None) -> Iterato
                 for val in _valuations(frame, atoms):
                     yield PropModel(frame, val)
     elif b.logic in ("ik", "mk"):
-        want = "strong" if b.logic == "mk" else "birelational"
-        rank = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}
+        want = _RANK["strong" if b.logic == "mk" else "birelational"]
         for n in range(1, b.max_worlds + 1):
             worlds = _world_names(n)
             for frame in _frames(n):
                 for val in _valuations(frame, atoms):
                     for r in _relation_subsets(worlds):
                         m = BirelationalModel(frame, r, val)
-                        if rank[classify(m)] >= rank[want]:
+                        if _RANK[classify(m)] >= want:
                             yield m
     elif b.logic == "partial":
         yield from _enumerate_partial(b, atoms)
@@ -162,12 +162,6 @@ def enumerate_models(b: SearchBounds, atoms: list[str] | None = None) -> Iterato
 
 def _member_ids(m: int) -> list[str]:
     return [f"K{i}" for i in range(1, m + 1)]
-
-
-def _succ_subsets(ids: list[str]) -> Iterator[frozenset]:
-    pairs = [(a, b) for a in ids for b in ids]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        yield frozenset(p for p, keep in zip(pairs, bits) if keep)
 
 
 def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialModel]:
@@ -187,7 +181,7 @@ def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialMod
                     for vals in itertools.product(*val_spaces):
                         members = {kid: PropModel(fr, v)
                                    for kid, fr, v in zip(ids, frames, vals)}
-                        for succ in _succ_subsets(ids):
+                        for succ in _relation_subsets(ids):
                             yield PartialModel(general_model(members, succ), "K1")
 
 
@@ -203,7 +197,7 @@ def _enumerate_homogeneous(b: SearchBounds, atoms: list[str],
                 ids = _member_ids(m)
                 for choice in itertools.product(vals, repeat=m):
                     members = {kid: PropModel(frame, v) for kid, v in zip(ids, choice)}
-                    for succ in _succ_subsets(ids):
+                    for succ in _relation_subsets(ids):
                         yield HomogeneousModel(general_model(members, succ))
 
 

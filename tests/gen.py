@@ -241,3 +241,57 @@ def naive_mk_forces(m, w, f) -> bool:
     if isinstance(f, type(BOTTOM)):
         return False
     raise ValueError(f"not a formula: {f!r}")
+
+
+def _naive_family_forces(m, k, w, f, box_to, dia_to) -> bool:
+    """Family clauses at cell (k, w): connectives inside member k, box and
+    diamond over the cells that box_to/dia_to list for (k, w)."""
+    members = dict(m.general.submodels)
+    if isinstance(f, Atom):
+        return (w, f.name) in members[k].val
+    if isinstance(f, type(BOTTOM)):
+        return False
+    rec = lambda k2, w2, g: _naive_family_forces(m, k2, w2, g, box_to, dia_to)
+    if isinstance(f, And):
+        return rec(k, w, f.left) and rec(k, w, f.right)
+    if isinstance(f, Or):
+        return rec(k, w, f.left) or rec(k, w, f.right)
+    if isinstance(f, Implies):
+        return all(rec(k, v, f.right) for a, v in members[k].frame.le
+                   if a == w and rec(k, v, f.left))
+    if isinstance(f, Box):
+        return all(rec(k2, w2, f.inner) for k2, w2 in box_to(members, k, w))
+    if isinstance(f, Diamond):
+        return any(rec(k2, w2, f.inner) for k2, w2 in dia_to(members, k, w))
+    raise ValueError(f"not a formula: {f!r}")
+
+
+def naive_partial_forces(m, k, w, f) -> bool:
+    """Partial-model clauses transcribed directly: box reaches every world of
+    an alternative member that lies above w in the reference order, diamond
+    looks for w itself in an alternative member."""
+    ref_le = dict(m.general.submodels)[m.reference].frame.le
+    alternatives = lambda k: [b for a, b in m.general.succ if a == k]
+    box_to = lambda members, k, w: [(k2, w2) for k2 in alternatives(k)
+                                    for w2 in members[k2].frame.worlds
+                                    if (w, w2) in ref_le]
+    dia_to = lambda members, k, w: [(k2, w) for k2 in alternatives(k)
+                                    if w in members[k2].frame.worlds]
+    return _naive_family_forces(m, k, w, f, box_to, dia_to)
+
+
+def naive_homogeneous_forces(h, k, w, f) -> bool:
+    """Homogeneous-model clauses transcribed directly: box and diamond look at
+    w itself in every / some alternative member."""
+    same_world = lambda members, k, w: [(b, w) for a, b in h.general.succ if a == k]
+    return _naive_family_forces(h, k, w, f, same_world, same_world)
+
+
+def naive_family_entails(forces_fn, m, k, w, gamma, f) -> bool:
+    """Entailment inside member k: with empty gamma plain forcing, otherwise
+    every later world of the member that forces gamma forces f."""
+    if not gamma:
+        return forces_fn(m, k, w, f)
+    le = dict(m.general.submodels)[k].frame.le
+    return all(forces_fn(m, k, v, f) for a, v in le
+               if a == w and all(forces_fn(m, k, v, g) for g in gamma))

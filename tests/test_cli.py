@@ -123,6 +123,17 @@ class TestCheckCommand:
                      "--at", "w1:K1"]) == 0
         assert capsys.readouterr().out.strip() == "K1:w1: true"
 
+    def test_deep_formula(self, tmp_path, capsys):
+        # p holds only at the later world, so ~p holds nowhere and every
+        # even number of negations holds everywhere
+        path = tmp_path / "chain.km"
+        path.write_text("model K\nworlds w w2\nle w w2\nval w2 : p\nend\n")
+        for depth, verdict in ((500, "true"), (499, "false")):
+            assert main(["check", "--model", str(path), "--logic", "prop",
+                         "--formula", "~" * depth + "p"]) == 0
+            assert capsys.readouterr().out.splitlines() == \
+                [f"w: {verdict}", f"w2: {verdict}"]
+
     def test_missing_model_file(self, capsys):
         assert main(["check", "--model", "/nonexistent.km",
                      "--formula", "p"]) == 1

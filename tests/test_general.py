@@ -16,7 +16,8 @@ from imk.general import (CLASSICAL_POINT, CarrierMismatchError,
 from imk.kripke import UnknownWorldError
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
-                 partial_corpus, random_homogeneous_model)
+                 naive_family_entails, naive_homogeneous_forces,
+                 naive_partial_forces, partial_corpus, random_homogeneous_model)
 
 
 def timeline_family(succ):
@@ -147,6 +148,40 @@ class TestEntailsAndValidity:
             for k, w in h.general.cells():
                 assert entails_homogeneous(h, k, w, [], f) == \
                     forces_homogeneous(h, k, w, f)
+
+
+class TestAgainstOracles:
+    """Family forcing and entailment against the recursive clauses in gen."""
+
+    def test_partial_forcing(self):
+        pool = formula_pool(25, 3, ["p1", "p2"], seed=61)
+        for m in partial_corpus(40, seed=61):
+            for k, w in m.general.cells():
+                for f in pool:
+                    assert forces_partial(m, k, w, f) == \
+                        naive_partial_forces(m, k, w, f)
+
+    def test_homogeneous_forcing(self):
+        pool = formula_pool(25, 3, ["p1", "p2"], seed=62)
+        for h in homogeneous_corpus(40, seed=62):
+            for k, w in h.general.cells():
+                for f in pool:
+                    assert forces_homogeneous(h, k, w, f) == \
+                        naive_homogeneous_forces(h, k, w, f)
+
+    def test_entailment(self):
+        pool = formula_pool(10, 2, ["p1", "p2"], seed=63)
+        gammas = [[], pool[:1], pool[1:3]]
+        for m, ent, oracle in (
+                *((m, entails_partial, naive_partial_forces)
+                  for m in partial_corpus(15, seed=63)),
+                *((h, entails_homogeneous, naive_homogeneous_forces)
+                  for h in homogeneous_corpus(15, seed=63))):
+            for k, w in m.general.cells():
+                for gamma in gammas:
+                    for f in pool:
+                        assert ent(m, k, w, gamma, f) == \
+                            naive_family_entails(oracle, m, k, w, gamma, f)
 
 
 class TestModularClauses:

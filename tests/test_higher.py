@@ -4,8 +4,8 @@ import pytest
 
 from imk import (HigherOrderModel, HomogeneousModel, build_frame,
                  build_prop_model, evaluate, forces, forces_homogeneous,
-                 from_birelational, general_model, is_finitely_relational,
-                 is_unirelational, lift, model_valid, parse, wrap_prop_model)
+                 from_birelational, general_model, is_unirelational, lift,
+                 model_valid, parse, wrap_prop_model)
 from imk.higher import BadPathError, PolicyGapError
 from imk.kripke import ModelError
 
@@ -27,12 +27,10 @@ class TestPredicates:
         m = from_birelational(two_chain.frame, frozenset({("w", "w")}),
                               two_chain.val)
         assert not is_unirelational(m)
-        assert is_finitely_relational(m)
 
     def test_lift_is_unirelational(self):
         for h in homogeneous_corpus(10, seed=71):
             assert is_unirelational(lift(h))
-            assert is_finitely_relational(lift(h))
 
 
 class TestConstruction:

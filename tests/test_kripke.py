@@ -45,6 +45,18 @@ class TestBuildFrame:
         with pytest.raises(ModelError):
             Frame(frozenset({"a", "b"}), frozenset({("a", "b")}))
 
+    def test_long_chain(self):
+        n = 400
+        worlds = [f"w{i}" for i in range(n)]
+        fr = build_frame(worlds, zip(worlds, worlds[1:]))
+        assert len(fr.le) == n * (n + 1) // 2
+        m = build_prop_model(fr, {w: {"p"} for w in worlds[n // 2:]})
+        assert forces(m, "w0", parse("~~p"))
+        assert not forces(m, "w0", parse("p | ~p"))
+        assert forces(m, worlds[n // 2], parse("p | ~p"))
+        with pytest.raises(HeredityError):
+            build_prop_model(fr, {"w0": {"p"}})
+
 
 class TestBuildPropModel:
     def test_growing_valuation_ok(self):
