@@ -112,12 +112,9 @@ def _check_points(doc: Document, args):
             return
         if m.level > 1:
             raise UsageError("use --at to address worlds of models above level 1")
-        for name, child in m.objects:
-            if m.level == 0:
-                yield name, evaluate(m, [name], f)
-            else:
-                for w, _ in child.objects:
-                    yield f"{name}:{w}", evaluate(m, [name, w], f)
+        for name, child in m.objects:  # nmodel blocks have level 1 or more
+            for w, _ in child.objects:
+                yield f"{name}:{w}", evaluate(m, [name, w], f)
         return
 
     family = len(doc.models) > 1 or doc.succ or doc.reference is not None \
@@ -247,8 +244,11 @@ def _cmd_equiv_report(args) -> int:
 def _bounds(args) -> SearchBounds:
     if not args.logic:
         raise UsageError("--logic is required")
-    return SearchBounds(args.logic, args.max_worlds, args.max_atoms,
-                        args.max_submodels, args.rooted)
+    try:
+        return SearchBounds(args.logic, args.max_worlds, args.max_atoms,
+                            args.max_submodels, args.rooted)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_countermodel(args) -> int:
@@ -352,9 +352,6 @@ def main(argv=None) -> int:
             raise UsageError("--formula is required")
         return args.func(args)
     except (UsageError, ParseError, ModelFileError, ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant breach

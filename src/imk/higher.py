@@ -14,17 +14,21 @@ Propositional connectives are evaluated inside the bottom model, whose
 relation named "le" must be a preorder with a hereditary valuation.  This
 fixes one reading of the level-n semantics; levels above 1 are exploratory
 surface and carry no guarantees beyond the documented rules.
+
+A model is compiled once onto ``kripke.Kernel``.  A shift may reach a path
+the model lacks; where some order of reading the clauses lazily would meet
+such a shift, ``evaluate`` raises instead of letting the order decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
+from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import HomogeneousModel
-from .kripke import Frame, ModelError, PropModel
+from .kripke import (Frame, Kernel, ModelError, PropModel, cached, label_masks,
+                     relation_masks)
 
 __all__ = [
     "HigherOrderModel", "BadPathError", "PolicyGapError",
@@ -55,22 +59,21 @@ class HigherOrderModel:
             raise ModelError("a model needs at least one object")
         if not self.relations:
             raise ModelError("a model needs at least one relation")
-        names = [n for n, _ in self.objects]
-        if len(set(names)) != len(names):
+        names = {n for n, _ in self.objects}
+        if len(names) != len(self.objects):
             raise ModelError("duplicate object name")
         for name, child in self.objects:
             if self.level == 0:
                 if child is not None:
                     raise ModelError("level-0 objects are bare worlds")
-            else:
-                if not isinstance(child, HigherOrderModel):
-                    raise ModelError(f"object {name!r} must be a model")
-                if child.level != self.level - 1:
-                    raise ModelError(
-                        f"object {name!r} has level {child.level}, expected {self.level - 1}")
+            elif not isinstance(child, HigherOrderModel):
+                raise ModelError(f"object {name!r} must be a model")
+            elif child.level != self.level - 1:
+                raise ModelError(
+                    f"object {name!r} has level {child.level}, expected {self.level - 1}")
         for rel_name, pairs in self.relations:
             for a, b in pairs:
-                if a not in set(names) or b not in set(names):
+                if a not in names or b not in names:
                     raise ModelError(
                         f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object")
         if self.level > 0 and self.val:
@@ -79,34 +82,27 @@ class HigherOrderModel:
     def object_names(self) -> list[str]:
         return [n for n, _ in self.objects]
 
-    def child(self, name: str) -> "HigherOrderModel":
-        for n, c in self.objects:
-            if n == name:
-                if c is None:
-                    raise BadPathError(f"{name!r} is a world, not a model")
-                return c
-        raise BadPathError(f"no object named {name!r}")
-
     def relation(self, name: str) -> frozenset:
         for n, pairs in self.relations:
             if n == name:
                 return pairs
         raise ModelError(f"no relation named {name!r}")
 
+    @cached
+    def kernel(self) -> "_LayeredKernel":
+        """Compiled on first use; a malformed bottom model raises here."""
+        return _LayeredKernel(self)
+
 
 def wrap_prop_model(m: PropModel) -> HigherOrderModel:
-    return HigherOrderModel(0,
-                            tuple((w, None) for w in m.frame.sorted_worlds()),
-                            (("le", m.frame.le),),
-                            m.val)
+    return HigherOrderModel(0, tuple((w, None) for w in m.frame.sorted_worlds()),
+                            (("le", m.frame.le),), m.val)
 
 
 def from_birelational(frame: Frame, r: frozenset, val: frozenset) -> HigherOrderModel:
     """A birelational model seen as a level-0 model with two relations."""
-    return HigherOrderModel(0,
-                            tuple((w, None) for w in frame.sorted_worlds()),
-                            (("le", frame.le), ("r", r)),
-                            val)
+    return HigherOrderModel(0, tuple((w, None) for w in frame.sorted_worlds()),
+                            (("le", frame.le), ("r", r)), val)
 
 
 def lift(h: HomogeneousModel) -> HigherOrderModel:
@@ -117,80 +113,89 @@ def lift(h: HomogeneousModel) -> HigherOrderModel:
 
 
 def is_unirelational(m: HigherOrderModel) -> bool:
-    if len(m.relations) != 1:
-        return False
+    return len(m.relations) == 1 and (
+        m.level == 0 or all(is_unirelational(c) for _, c in m.objects))
+
+
+def _bottoms(m: HigherOrderModel, prefix: tuple = ()) -> list[tuple]:
+    """(path prefix, level-0 model) pairs in declared depth-first order."""
     if m.level == 0:
-        return True
-    return all(is_unirelational(c) for _, c in m.objects)
+        return [(prefix, m)]
+    return [pb for k, child in m.objects for pb in _bottoms(child, prefix + (k,))]
 
 
-@lru_cache(maxsize=4096)
-def _base_model(m: HigherOrderModel) -> PropModel:
-    """The bottom model's propositional structure; validates that 'le' is a
-    preorder and the valuation hereditary."""
-    try:
-        pairs = m.relation("le")
-    except ModelError:
-        raise PolicyGapError("level-0 evaluation needs a relation named 'le'")
-    frame = Frame(frozenset(m.object_names()), pairs)
-    return PropModel(frame, m.val)
+class _LayeredKernel(Kernel):
+    """Points are the full paths, numbered in declared depth-first order; up
+    is each bottom model's le within its prefix, box = dia the top relation.
+    below maps each path, full or short, to the points under it.  bad holds
+    the points whose shift dangles, or all of them when the model has no
+    modal rule (gap says why)."""
 
+    def __init__(self, m: HigherOrderModel):
+        index, le, val = {}, [], []
+        for prefix, b in _bottoms(m):
+            pairs = dict(b.relations).get("le")
+            if pairs is None:
+                raise PolicyGapError("level-0 evaluation needs a relation named 'le'")
+            PropModel(Frame(frozenset(b.object_names()), pairs), b.val)  # validates
+            for w in b.object_names():
+                index[prefix + (w,)] = len(index)
+            le += [(prefix + (v,), prefix + (u,)) for v, u in pairs]
+            val += [(prefix + (w,), atom) for w, atom in b.val]
+        self.below: dict[tuple, int] = {}
+        for path, i in index.items():
+            for k in range(len(path) + 1):
+                self.below[path[:k]] = self.below.get(path[:k], 0) | 1 << i
+        self.gap = None if m.level and len(m.relations) == 1 else (
+            "the mk modal rule needs a single top-level relation above level 0; "
+            f"model has level {m.level}, relations {[n for n, _ in m.relations]}")
+        self.full = (1 << len(index)) - 1
+        self.bad = self.full if self.gap else 0
+        rel = () if self.gap else m.relations[0][1]
+        shifts = [(p, (b,) + p[1:]) for a, b in rel for p in index if p[0] == a]
+        for p, q in shifts:
+            if q not in index:
+                self.bad |= 1 << index[p]
+        rows = relation_masks(index, (s for s in shifts if s[1] in index))
+        super().__init__(index, relation_masks(index, le), label_masks(index, val),
+                         rows, rows)
+        self._forcing: dict[int, tuple] = {}  # id(f) -> (f, extension, errors)
 
-def _descend(m: HigherOrderModel, selectors: Sequence[str]) -> HigherOrderModel:
-    cur = m
-    for s in selectors:
-        cur = cur.child(s)
-    return cur
-
-
-def _sole_relation(m: HigherOrderModel) -> frozenset:
-    if len(m.relations) != 1:
-        raise PolicyGapError(
-            "the mk modal rule needs a single top-level relation; "
-            f"model has {[n for n, _ in m.relations]}")
-    return m.relations[0][1]
-
-
-@lru_cache(maxsize=1 << 16)
-def _eval(m: HigherOrderModel, path: tuple, f: Formula) -> bool:
-    if len(path) > m.level + 1:
-        raise BadPathError(f"path {path!r} is longer than the model is deep")
-    if len(path) <= m.level:
-        # lift rule: truth at an object is truth at every one-step extension
-        target = _descend(m, path)
-        return all(_eval(m, path + (name,), f) for name in target.object_names())
-
-    bottom = _descend(m, path[:-1])
-    base = _base_model(bottom)
-    w = path[-1]
-    if w not in base.frame.worlds:
-        raise BadPathError(f"no world named {w!r} at the end of path {path!r}")
-
-    if isinstance(f, Atom):
-        return (w, f.name) in bottom.val
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return _eval(m, path, f.left) and _eval(m, path, f.right)
-    if isinstance(f, Or):
-        return _eval(m, path, f.left) or _eval(m, path, f.right)
-    if isinstance(f, Implies):
-        return all(_eval(m, path[:-1] + (v,), f.right)
-                   for v in base.frame.above(w)
-                   if _eval(m, path[:-1] + (v,), f.left))
-    if isinstance(f, (Box, Diamond)):
-        if m.level == 0:
-            raise PolicyGapError(
-                "modalities are read at the top level; a level-0 model has none")
-        rel = _sole_relation(m)
-        shifted = [(o2,) + tuple(path[1:]) for o1, o2 in rel if o1 == path[0]]
-        if isinstance(f, Box):
-            return all(_eval(m, p, f.inner) for p in shifted)
-        return any(_eval(m, p, f.inner) for p in shifted)
-    raise TypeError(f"not a formula: {f!r}")
+    def forcing(self, f: Formula) -> tuple[int, int]:
+        """The points that force f, and those where f errs: where some order
+        of the lazy clause-by-clause reading meets a bad point."""
+        hit = self._forcing.get(id(f))
+        if hit is None or hit[0] is not f:
+            keys, exts = self.extensions(f)
+            errs: list[int] = []
+            for cls, *args in keys if self.bad else ():
+                if cls is Box or cls is Diamond:  # rows that meet an error
+                    err = self.bad | self._select(Diamond, errs[args[0]])
+                elif cls is Atom or cls is Bottom:
+                    err = 0
+                else:  # B is read where A holds, or for | where A fails
+                    a, b = args
+                    err = errs[a] | (~exts[a] if cls is Or else exts[a]) & errs[b]
+                    if cls is Implies:  # up rows that meet err
+                        err = self.full & ~self._select(Implies, err)
+                errs.append(err)
+            hit = self._forcing[id(f)] = (f, exts[-1], errs[-1] if errs else 0)
+        return hit[1], hit[2]
 
 
 def evaluate(m: HigherOrderModel, path: Iterable[str], f: Formula) -> bool:
     """Truth of f at the chain of objects named by path.  A full path ends at
-    a world of a level-0 model; a shorter path is closed by the lift rule."""
-    return _eval(m, tuple(path), f)
+    a world of a level-0 model; a shorter one is decided by the first point
+    under it, in declared order, where f fails or errs."""
+    kernel, path = m.kernel, tuple(path)
+    below = kernel.below.get(path)
+    if below is None:
+        raise BadPathError(f"no object or world at path {path!r}")
+    ext, err = kernel.forcing(f)
+    miss = below & (~ext | err)
+    if miss & -miss & err:
+        if kernel.gap:
+            raise PolicyGapError(kernel.gap)
+        raise BadPathError(f"a modality read under {path!r} shifts to a path "
+                           "the model lacks")
+    return not miss

@@ -189,10 +189,16 @@ class Kernel:
     def extension(self, f: Formula) -> int:
         """Bitmask of the points that force f."""
         hit = self._roots.get(id(f))
-        if hit is not None and hit[0] is f:
-            return hit[1]
+        if hit is None or hit[0] is not f:
+            hit = self._roots[id(f)] = (f, self.extensions(f)[1][-1])
+        return hit[1]
+
+    def extensions(self, f: Formula) -> tuple[list[tuple], list[int]]:
+        """Keys of f's distinct subformulas (as in subformula_dag), f last,
+        and the extension of each."""
+        keys = subformula_dag(f)[1]
         exts: list[int] = []
-        for cls, *args in subformula_dag(f)[1]:
+        for cls, *args in keys:
             if cls is Atom:
                 ext = self.atoms.get(args[0], 0)
             elif cls is Bottom:
@@ -207,8 +213,7 @@ class Kernel:
                 if ext is None:
                     ext = self._nodes[key] = self._select(*key)
             exts.append(ext)
-        self._roots[id(f)] = (f, exts[-1])
-        return exts[-1]
+        return keys, exts
 
     def _select(self, cls, inner: int, right: int = 0) -> int:
         """Points whose row meets (diamond) or misses (-> and box) a mask."""
@@ -274,11 +279,8 @@ class PropModel:
 
 def build_prop_model(frame: Frame, val: Mapping[World, Iterable[str]]) -> PropModel:
     """Validated model; worlds missing from val get the empty atom set."""
-    pairs = set()
-    for w, atoms in val.items():
-        for atom in atoms:
-            pairs.add((w, atom))
-    return PropModel(frame, frozenset(pairs))
+    return PropModel(frame, frozenset((w, atom) for w, atoms in val.items()
+                                      for atom in atoms))
 
 
 def forces(model: PropModel, w: World, f: Formula) -> bool:
@@ -301,17 +303,10 @@ def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:
 
 def is_partial_copy(candidate: Frame, reference: Frame) -> bool:
     """True when candidate repeats part of reference: a subset of its worlds,
-    closed upward under the reference order, carrying the restricted order."""
-    if not candidate.worlds <= reference.worlds:
-        return False
-    for a, b in reference.le:
-        if a in candidate.worlds and b not in candidate.worlds:
-            return False
-    for a in candidate.worlds:
-        for b in candidate.worlds:
-            if ((a, b) in reference.le) != ((a, b) in candidate.le):
-                return False
-    return True
+    closed upward under the reference order, carrying the restricted order;
+    so its order is exactly the reference pairs that start at its worlds."""
+    return candidate.worlds <= reference.worlds and candidate.le == {
+        (a, b) for a, b in reference.le if a in candidate.worlds}
 
 
 def upward_restrict(frame: Frame, j: World) -> Frame:

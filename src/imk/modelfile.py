@@ -243,7 +243,10 @@ def loads(text: str) -> Document:
 
 def load_path(path) -> Document:
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            return loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _world_name(w) -> str:
@@ -305,8 +308,7 @@ def dump_general(g: GeneralModel, reference: str | None = None) -> str:
 def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
     if m.level == 0:
         rel = dict(m.relations)
-        le = rel.get("le", frozenset())
-        frame = Frame(frozenset(m.object_names()), le)
+        frame = Frame(frozenset(m.object_names()), rel.get("le", frozenset()))
         return _block_lines(name, frame, rel.get("r", frozenset()), m.val)
     lines = [f"nmodel {name} level {m.level}"]
     for child_name, child in m.objects:

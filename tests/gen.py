@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 
-from imk import (And, Atom, BOTTOM, Box, Diamond, HomogeneousModel, Implies,
-                 Not, Or, PartialModel, PropModel, general_model)
+from imk import (And, Atom, BOTTOM, Box, Diamond, HigherOrderModel,
+                 HomogeneousModel, Implies, Not, Or, PartialModel, PropModel,
+                 general_model, wrap_prop_model)
 from imk.kripke import Frame, closure
 
 
@@ -295,3 +296,85 @@ def naive_family_entails(forces_fn, m, k, w, gamma, f) -> bool:
     le = dict(m.general.submodels)[k].frame.le
     return all(forces_fn(m, k, v, f) for a, v in le
                if a == w and all(forces_fn(m, k, v, g) for g in gamma))
+
+
+def random_layered_model(rng: random.Random, level: int, max_objects: int = 3,
+                         relations: int = 1):
+    """A level-n model whose level-0 objects have 1..3 worlds each, so that a
+    shift along the top relation may reach a world that is not there."""
+    if level == 0:
+        frame = random_frame(rng, 3)
+        return wrap_prop_model(PropModel(frame, random_valuation(rng, frame, ["p1", "p2"])))
+    names = [f"K{i}" for i in range(1, rng.randint(1, max_objects) + 1)]
+    objects = tuple((k, random_layered_model(rng, level - 1, max_objects))
+                    for k in names)
+    rels = tuple((f"r{i}", frozenset((a, b) for a in names for b in names
+                                     if rng.random() < 0.4))
+                 for i in range(1, relations + 1))
+    return HigherOrderModel(level, objects, rels)
+
+
+def layered_points(m, prefix=()) -> list[tuple]:
+    """The full paths of a layered model, in declared depth-first order."""
+    if m.level == 0:
+        return [prefix + (w,) for w, _ in m.objects]
+    return [p for k, child in m.objects for p in layered_points(child, prefix + (k,))]
+
+
+def _naive_bottom(m, p: tuple):
+    for name in p[:-1]:
+        m = dict(m.objects)[name]
+    return m
+
+
+def naive_higher_eval(m, path, f):
+    """Layered-model forcing transcribed set by set: the truth of f at path,
+    or the name of the error that evaluating it raises.
+
+    Points are the full paths in declared depth-first order.  f errs at a
+    point when some order of the lazy clause-by-clause reading meets an
+    error there: a conjunct or disjunct that gets read, any later world
+    under ->, any box/diamond alternative, or a shift to a path the model
+    lacks.  Without a modal rule (level 0, or several top relations) every
+    box and diamond errs.  A short path is the first point below it, in
+    order, that errs or fails."""
+    points = layered_points(m)
+    known = set(points)
+    modal = m.level > 0 and len(m.relations) == 1
+    rel = m.relations[0][1] if modal else frozenset()
+    later = {p: [p[:-1] + (v,) for a, v in dict(_naive_bottom(m, p).relations)["le"]
+                 if a == p[-1]] for p in points}
+    shifts = {p: [(b,) + p[1:] for a, b in rel if a == p[0]] for p in points}
+
+    def ev(g) -> tuple[set, set]:  # (points forcing g, points where g errs)
+        if isinstance(g, Atom):
+            return {p for p in points if (p[-1], g.name) in _naive_bottom(m, p).val}, set()
+        if isinstance(g, type(BOTTOM)):
+            return set(), set()
+        if isinstance(g, (Box, Diamond)):
+            t, e = ev(g.inner)
+            quantifier = all if isinstance(g, Box) else any
+            return ({p for p in points if quantifier(q in t for q in shifts[p])},
+                    {p for p in points
+                     if not modal or any(q not in known or q in e for q in shifts[p])})
+        (lt, lerr), (rt, rerr) = ev(g.left), ev(g.right)
+        if isinstance(g, And):
+            return lt & rt, lerr | lt & rerr
+        if isinstance(g, Or):
+            return lt | rt, lerr | (known - lt) & rerr
+        if isinstance(g, Implies):
+            return ({p for p in points if all(v in rt for v in later[p] if v in lt)},
+                    {p for p in points
+                     if any(v in lerr or v in lt and v in rerr for v in later[p])})
+        raise ValueError(f"not a formula: {g!r}")
+
+    below = [p for p in points if p[:len(path)] == tuple(path)]
+    if not below:
+        return "BadPathError"
+    t, e = ev(f)
+    for p in below:
+        if p in e:
+            return "BadPathError" if modal else "PolicyGapError"
+        if p not in t:
+            return False
+    return True

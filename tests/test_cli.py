@@ -3,7 +3,10 @@ import json
 import pytest
 
 import imk.cli as cli
-from imk.cli import main
+from imk.cli import UsageError, main
+from imk.formulas import ParseError
+from imk.kripke import HeredityError
+from imk.modelfile import ModelFileError
 
 THREE_WORLD = """\
 model B
@@ -124,15 +127,23 @@ class TestCheckCommand:
         assert capsys.readouterr().out.strip() == "K1:w1: true"
 
     def test_deep_formula(self, tmp_path, capsys):
-        # p holds only at the later world, so ~p holds nowhere and every
-        # even number of negations holds everywhere
-        path = tmp_path / "chain.km"
-        path.write_text("model K\nworlds w w2\nle w w2\nval w2 : p\nend\n")
-        for depth, verdict in ((500, "true"), (499, "false")):
-            assert main(["check", "--model", str(path), "--logic", "prop",
-                         "--formula", "~" * depth + "p"]) == 0
-            assert capsys.readouterr().out.splitlines() == \
-                [f"w: {verdict}", f"w2: {verdict}"]
+        # In the chain p holds only at the later world, so ~p holds nowhere
+        # and every even number of negations holds everywhere.  The nested
+        # members have one world each, where ~~p is p.
+        chain = tmp_path / "chain.km"
+        chain.write_text("model K\nworlds w w2\nle w w2\nval w2 : p\nend\n")
+        nested = tmp_path / "nested.km"
+        nested.write_text(NESTED)
+        cases = [(chain, ["--logic", "prop"],
+                  {500: ["w: true", "w2: true"], 499: ["w: false", "w2: false"]}),
+                 (nested, [],
+                  {500: ["K1:w1: false", "K2:w1: true"],
+                   499: ["K1:w1: true", "K2:w1: false"]})]
+        for path, extra, verdicts in cases:
+            for depth, lines in verdicts.items():
+                assert main(["check", "--model", str(path), "--formula",
+                             "~" * depth + "p"] + extra) == 0
+                assert capsys.readouterr().out.splitlines() == lines
 
     def test_missing_model_file(self, capsys):
         assert main(["check", "--model", "/nonexistent.km",
@@ -292,3 +303,47 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_parse", boom)
         assert main(["parse", "--formula", "p"]) == 2
         assert "internal error" in capsys.readouterr().err
+
+    def test_stray_value_error_is_exit_2(self, monkeypatch, capsys):
+        def boom(_):
+            raise ValueError("wires crossed")
+        monkeypatch.setattr(cli, "_cmd_parse", boom)
+        assert main(["parse", "--formula", "p"]) == 2
+        assert "internal error: ValueError" in capsys.readouterr().err
+
+    def test_search_bounds_are_usage_errors(self, capsys):
+        assert main(["countermodel", "--formula", "p", "--logic", "prop",
+                     "--max-worlds", "5"]) == 1
+        assert "capped" in capsys.readouterr().err
+
+    def test_non_utf8_model_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.km"
+        path.write_bytes("model K\nworlds w\nend\n# caf\xe9\n".encode("latin-1"))
+        assert main(["check", "--model", str(path), "--formula", "p"]) == 1
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, extra, error", [
+        (THREE_WORLD, ["--formula", "(p & -> q"], ParseError),
+        (THREE_WORLD, ["--formula", "p", "--at", "nowhere"], UsageError),
+        ("model K\nworlds w1 w2\nle w1 zz\nend\n", ["--formula", "p"],
+         ModelFileError),
+        ("model K\nworlds w1 w2\nle w1 w2\nval w1 : p\nend\n",
+         ["--formula", "p"], HeredityError),
+    ], ids=["syntax", "unknown_at", "undeclared", "heredity"])
+    def test_input_errors_are_exit_1(self, tmp_path, monkeypatch, capsys,
+                                     text, extra, error):
+        path = tmp_path / "m.km"
+        path.write_text(text)
+        seen = []
+        check = cli._cmd_check
+
+        def spy(args):
+            try:
+                return check(args)
+            except Exception as exc:
+                seen.append(type(exc))
+                raise
+        monkeypatch.setattr(cli, "_cmd_check", spy)
+        assert main(["check", "--model", str(path)] + extra) == 1
+        assert seen == [error]
+        assert capsys.readouterr().err.startswith("error:")

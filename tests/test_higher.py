@@ -1,16 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import imk
 
 from imk import (HigherOrderModel, HomogeneousModel, build_frame,
                  build_prop_model, evaluate, forces, forces_homogeneous,
                  from_birelational, general_model, is_unirelational, lift,
                  model_valid, parse, wrap_prop_model)
 from imk.higher import BadPathError, PolicyGapError
-from imk.kripke import ModelError
+from imk.kripke import HeredityError, ModelError
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
-                 random_homogeneous_model)
+                 layered_points, naive_higher_eval, random_homogeneous_model,
+                 random_layered_model)
 
 
 @pytest.fixture
@@ -47,6 +53,16 @@ class TestConstruction:
         zero = wrap_prop_model(two_chain)
         with pytest.raises(ModelError):
             HigherOrderModel(0, (("K", zero),), (("le", frozenset()),))
+
+    def test_malformed_bottom_raises_at_first_evaluate(self, two_chain):
+        # p at w but not at the later w2: B's valuation is not hereditary
+        bad = HigherOrderModel(0, (("w", None), ("w2", None)),
+                               (("le", two_chain.frame.le),),
+                               frozenset({("w", "p")}))
+        m = HigherOrderModel(1, (("A", wrap_prop_model(two_chain)), ("B", bad)),
+                             (("succ", frozenset()),))
+        with pytest.raises(HeredityError):
+            evaluate(m, ["A", "w"], parse("p"))
 
 
 class TestEvaluateLevel0:
@@ -128,22 +144,23 @@ class TestAxioms:
                 assert evaluate(m, [k, w], f)
 
 
-class TestLevelsAboveOne:
-    def _two_level(self):
-        frame = build_frame({"w1"}, set())
-        mk_member = lambda atoms: wrap_prop_model(
-            build_prop_model(frame, {"w1": atoms}))
-        inner1 = HigherOrderModel(1, (("A", mk_member(set())),
-                                      ("B", mk_member({"p"}))),
-                                  (("acc", frozenset({("A", "B")})),))
-        inner2 = HigherOrderModel(1, (("A", mk_member({"p"})),
-                                      ("B", mk_member({"p"}))),
-                                  (("acc", frozenset({("A", "B")})),))
-        return HigherOrderModel(2, (("H1", inner1), ("H2", inner2)),
-                                (("up", frozenset({("H1", "H2")})),))
+def _two_level():
+    frame = build_frame({"w1"}, set())
+    mk_member = lambda atoms: wrap_prop_model(
+        build_prop_model(frame, {"w1": atoms}))
+    inner1 = HigherOrderModel(1, (("A", mk_member(set())),
+                                  ("B", mk_member({"p"}))),
+                              (("acc", frozenset({("A", "B")})),))
+    inner2 = HigherOrderModel(1, (("A", mk_member({"p"})),
+                                  ("B", mk_member({"p"}))),
+                              (("acc", frozenset({("A", "B")})),))
+    return HigherOrderModel(2, (("H1", inner1), ("H2", inner2)),
+                            (("up", frozenset({("H1", "H2")})),))
 
+
+class TestLevelsAboveOne:
     def test_box_reads_the_top_relation(self):
-        m = self._two_level()
+        m = _two_level()
         # p fails at H1.A but holds at H2.A, the only up-alternative of H1
         assert not evaluate(m, ["H1", "A", "w1"], parse("p"))
         assert evaluate(m, ["H1", "A", "w1"], parse("[]p"))
@@ -153,11 +170,88 @@ class TestLevelsAboveOne:
         assert not evaluate(m, ["H2", "A", "w1"], parse("<>p"))
 
     def test_lift_rule_closes_short_paths(self):
-        m = self._two_level()
+        m = _two_level()
         assert evaluate(m, ["H2"], parse("p"))
         assert not evaluate(m, ["H1"], parse("p"))
 
     def test_path_too_long(self):
-        m = self._two_level()
+        m = _two_level()
         with pytest.raises(BadPathError):
             evaluate(m, ["H1", "A", "w1", "w1"], parse("p"))
+
+
+def _outcome(m, path, f):
+    try:
+        return evaluate(m, path, f)
+    except (BadPathError, PolicyGapError) as exc:
+        return type(exc).__name__
+
+
+class TestAgainstOracle:
+    POOL = formula_pool(12, 3, ["p1", "p2"], seed=81)
+
+    def _agree(self, m):
+        points = layered_points(m)
+        paths = sorted({p[:k] for p in points for k in range(len(p) + 1)})
+        for path in paths + [("ghost",), points[0] + ("w1",)]:
+            for f in self.POOL:
+                assert _outcome(m, path, f) == naive_higher_eval(m, path, f), \
+                    (path, f)
+
+    def test_lifted_homogeneous(self):
+        for h in homogeneous_corpus(10, seed=82):
+            self._agree(lift(h))
+
+    def test_level1_with_dangling_shifts(self):
+        rng = random.Random(83)
+        for _ in range(25):
+            self._agree(random_layered_model(rng, 1))
+
+    def test_two_relation_top(self):
+        rng = random.Random(84)
+        for _ in range(10):
+            self._agree(random_layered_model(rng, 1, relations=2))
+
+    def test_level0(self, two_chain):
+        self._agree(wrap_prop_model(two_chain))
+        self._agree(from_birelational(two_chain.frame,
+                                      frozenset({("w", "w2")}), two_chain.val))
+        rng = random.Random(85)
+        for _ in range(5):
+            self._agree(random_layered_model(rng, 0))
+
+    def test_level2(self):
+        self._agree(_two_level())
+        rng = random.Random(86)
+        for _ in range(5):
+            self._agree(random_layered_model(rng, 2, max_objects=2))
+
+
+# A{w} and B{w} force nothing; C has only v, so A's shift to C dangles.
+# Whether []p at A:w first meets B (False) or C (an error) must not decide
+# the answer.
+HASH_PROBE = """
+from imk import (HigherOrderModel, build_frame, build_prop_model, evaluate,
+                 parse, wrap_prop_model)
+member = lambda w: wrap_prop_model(build_prop_model(build_frame({w}, ()), {}))
+m = HigherOrderModel(1, (("A", member("w")), ("B", member("w")),
+                         ("C", member("v"))),
+                     (("succ", frozenset({("A", "B"), ("A", "C")})),))
+for at, text in ((["A", "w"], "[]p"), (["A", "w"], "<>~p"),
+                 (["A", "w"], "q & []p"), (["B", "w"], "[]p")):
+    try:
+        print(evaluate(m, at, parse(text)))
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_answers_do_not_depend_on_the_hash_seed(self, seed):
+        src = os.path.dirname(os.path.dirname(imk.__file__))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", HASH_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["BadPathError", "BadPathError",
+                                       "False", "True"]
