@@ -19,7 +19,8 @@ from typing import Iterable
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, cached, relation_masks)
+                     World, relation_masks)
+from .memo import cached
 
 __all__ = [
     "BirelationalModel", "ConditionReport", "CONDITIONS",

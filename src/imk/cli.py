@@ -16,8 +16,8 @@ from . import __version__
 from .birelational import (CONDITIONS, check_condition, classify, entails_ik,
                            entails_mk)
 from .flatten import equivalence_report, flatten
-from .formulas import (Atom, Bottom, Box, Diamond, Formula, ParseError,
-                       complexity, parse, render)
+from .formulas import (Atom, Box, Diamond, Formula, ParseError, complexity,
+                       parse, render)
 from .general import (as_homogeneous, as_partial, entails_homogeneous,
                       entails_partial, validate_homogeneous, validate_partial)
 from .higher import evaluate
@@ -45,14 +45,18 @@ def _gamma(text: str | None) -> list[Formula]:
 
 
 def _ast_json(f: Formula):
-    if isinstance(f, Atom):
-        return {"type": "atom", "name": f.name}
-    if isinstance(f, Bottom):
-        return {"type": "bottom"}
-    if isinstance(f, (Box, Diamond)):
-        return {"type": type(f).__name__.lower(), "inner": _ast_json(f.inner)}
-    return {"type": type(f).__name__.lower(),
-            "left": _ast_json(f.left), "right": _ast_json(f.right)}
+    """The syntax tree as nested dicts, built bottom-up over f.program, so
+    deep formulas cost no recursion; equal subtrees share one dict."""
+    nodes: list[dict] = []
+    for cls, *args in f.program:
+        node = {"type": cls.__name__.lower()}
+        if cls is Atom:
+            node["name"] = args[0]
+        else:
+            fields = ("inner",) if cls in (Box, Diamond) else ("left", "right")
+            node.update(zip(fields, (nodes[i] for i in args)))
+        nodes.append(node)
+    return nodes[-1]
 
 
 def _emit(args, payload: dict, text: str) -> None:

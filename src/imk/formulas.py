@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .memo import cached
+
 __all__ = [
     "Formula", "Atom", "Bottom", "And", "Or", "Implies", "Box", "Diamond",
     "BOTTOM", "TOP", "Not", "ParseError",
@@ -19,41 +21,52 @@ __all__ = [
 ]
 
 
+class _Node:
+    """Base of the formula classes."""
+
+    @cached
+    def program(self) -> list[tuple]:
+        """The keys of subformula_dag(self), this formula's own key last:
+        computed on first use and kept on this object, so a formula is walked
+        once however many models evaluate it."""
+        return subformula_dag(self)[1]
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Node):
     inner: "Formula"
 
 
 @dataclass(frozen=True)
-class Diamond:
+class Diamond(_Node):
     inner: "Formula"
 
 
@@ -108,140 +121,113 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length + 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, lexeme: str) -> None:
-        tok = self.peek()
-        if tok is None or tok[1] != lexeme:
-            pos = tok[2] if tok else self.length + 1
-            found = repr(tok[1]) if tok else "end of input"
-            raise ParseError(f"expected {lexeme!r}, found {found}", pos)
-        self.pos += 1
-
-    # impl := disj ("->" impl)?        right associative
-    def impl(self) -> Formula:
-        left = self.disj()
-        tok = self.peek()
-        if tok and tok[1] == "->":
-            self.pos += 1
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while (tok := self.peek()) and tok[1] == "|":
-            self.pos += 1
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while (tok := self.peek()) and tok[1] == "&":
-            self.pos += 1
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok and tok[1] == "~":
-            self.pos += 1
-            return Not(self.unary())
-        if tok and tok[1] == "[]":
-            self.pos += 1
-            return Box(self.unary())
-        if tok and tok[1] == "<>":
-            self.pos += 1
-            return Diamond(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, lexeme, pos = self.take()
-        if kind == "atom":
-            return Atom(lexeme)
-        if lexeme == "_|_":
-            return BOTTOM
-        if lexeme == "T":
-            return TOP
-        if lexeme == "(":
-            f = self.impl()
-            tok = self.peek()
-            if tok is None or tok[1] != ")":
-                raise ParseError("unbalanced parentheses", pos)
-            self.pos += 1
-            return f
-        raise ParseError(f"unexpected {lexeme!r}", pos)
+# Precedence levels of the parser and the printer; higher binds tighter.
+_IMPL, _DISJ, _CONJ, _UNARY = 1, 2, 3, 4
+# Prefix operators, and binary operators with their level; every binary
+# operator but the right-associative -> is left-associative.
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond}
+_BINARY = {"->": (_IMPL, Implies), "|": (_DISJ, Or), "&": (_CONJ, And)}
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; raises ParseError with a 1-based character position."""
+    """Parse a formula; raises ParseError with a 1-based character position.
+
+    Precedence climbing over explicit stacks, so nesting depth costs no
+    recursion; errors are reported at the first token that cannot continue
+    the formula."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1)
-    parser = _Parser(tokens, len(text))
-    f = parser.impl()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return f
+    args: list[Formula] = []  # finished operands
+    ops: list = []  # pending operators, and the int position of each open "("
+
+    def fold(prec: int) -> None:
+        """Apply the pending binary operators that bind at least this tightly."""
+        while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= prec:
+            right = args.pop()
+            args[-1] = _BINARY[ops.pop()][1](args[-1], right)
+
+    def operand(f: Formula) -> None:
+        while ops and ops[-1] in _PREFIX:
+            f = _PREFIX[ops.pop()](f)
+        args.append(f)
+
+    want_operand = True
+    for kind, lexeme, pos in tokens:
+        if want_operand:
+            if lexeme in _PREFIX:
+                ops.append(lexeme)
+            elif lexeme == "(":
+                ops.append(pos)
+            elif kind == "atom" or lexeme in ("_|_", "T"):
+                operand(Atom(lexeme) if kind == "atom" else
+                        BOTTOM if lexeme == "_|_" else TOP)
+                want_operand = False
+            else:
+                raise ParseError(f"unexpected {lexeme!r}", pos)
+        elif lexeme in _BINARY:  # a pending -> waits for its right operand
+            fold(_BINARY[lexeme][0] + (lexeme == "->"))
+            ops.append(lexeme)
+            want_operand = True
+        else:
+            fold(_IMPL)
+            if lexeme == ")" and ops:
+                ops.pop()
+                operand(args.pop())
+            elif ops:
+                raise ParseError("unbalanced parentheses", ops[-1])
+            else:
+                raise ParseError(f"trailing input {lexeme!r}", pos)
+    if want_operand:
+        raise ParseError("unexpected end of input", len(text) + 1)
+    fold(_IMPL)
+    if ops:
+        raise ParseError("unbalanced parentheses", ops[-1])
+    return args[0]
 
 
-# Precedence levels used by the printer; higher binds tighter.
-_IMPL, _DISJ, _CONJ, _UNARY = 1, 2, 3, 4
-
-
-def _render(f: Formula, level: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return "_|_"
-    if isinstance(f, Implies) and f.right == BOTTOM:
-        return "~" + _render(f.left, _UNARY)
-    if isinstance(f, Box):
-        return "[]" + _render(f.inner, _UNARY)
-    if isinstance(f, Diamond):
-        return "<>" + _render(f.inner, _UNARY)
-    if isinstance(f, And):
-        text = _render(f.left, _CONJ) + " & " + _render(f.right, _UNARY)
-        own = _CONJ
-    elif isinstance(f, Or):
-        text = _render(f.left, _DISJ) + " | " + _render(f.right, _CONJ)
-        own = _DISJ
-    elif isinstance(f, Implies):
-        text = _render(f.left, _DISJ) + " -> " + _render(f.right, _IMPL)
-        own = _IMPL
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return "(" + text + ")" if own < level else text
+# infix text, own level, levels of the left and right operands
+_INFIX = {And: (" & ", _CONJ, _CONJ, _UNARY), Or: (" | ", _DISJ, _DISJ, _CONJ),
+          Implies: (" -> ", _IMPL, _DISJ, _IMPL)}
 
 
 def render(f: Formula) -> str:
-    """Canonical text for f; ``X -> _|_`` prints as ``~X``."""
-    return _render(f, _IMPL)
+    """Canonical text for f; ``X -> _|_`` prints as ``~X``.  Iterative: a
+    stack holds literal text and (formula, level) items still to print."""
+    out: list[str] = []
+    todo: list = [(f, _IMPL)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, level = item
+        if isinstance(g, Atom):
+            out.append(g.name)
+        elif isinstance(g, Bottom):
+            out.append("_|_")
+        elif isinstance(g, Implies) and isinstance(g.right, Bottom):
+            out.append("~")
+            todo.append((g.left, _UNARY))
+        elif isinstance(g, (Box, Diamond)):
+            out.append("[]" if isinstance(g, Box) else "<>")
+            todo.append((g.inner, _UNARY))
+        elif type(g) in _INFIX:
+            text, own, left, right = _INFIX[type(g)]
+            parens = own < level  # pushed in reverse: the stack is LIFO
+            todo += [")"] * parens + [(g.right, right), text, (g.left, left)] \
+                + ["("] * parens
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def complexity(f: Formula) -> int:
     """Count of logical symbols: every connective and Bottom is 1, atoms are 0."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Bottom):
-        return 1
-    if isinstance(f, (Box, Diamond)):
-        return 1 + complexity(f.inner)
-    return 1 + complexity(f.left) + complexity(f.right)
+    sizes: list[int] = []
+    for cls, *args in f.program:
+        sizes.append(0 if cls is Atom else 1 + sum(sizes[i] for i in args))
+    return sizes[-1]
 
 
 def _children(f: Formula) -> tuple:
@@ -290,8 +276,4 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def modal_free(f: Formula) -> bool:
     """True when f contains no Box or Diamond."""
-    if isinstance(f, (Box, Diamond)):
-        return False
-    if isinstance(f, (And, Or, Implies)):
-        return modal_free(f.left) and modal_free(f.right)
-    return True
+    return not any(key[0] in (Box, Diamond) for key in f.program)

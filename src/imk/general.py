@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Mapping
 
 from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, cached, is_partial_copy, label_masks,
-                     relation_masks)
+                     World, is_partial_copy, label_masks, relation_masks)
+from .memo import cached
 
 __all__ = [
     "GeneralModel", "PartialModel", "HomogeneousModel",

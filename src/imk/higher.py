@@ -27,8 +27,8 @@ from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import HomogeneousModel
-from .kripke import (Frame, Kernel, ModelError, PropModel, cached, label_masks,
-                     relation_masks)
+from .kripke import Frame, Kernel, ModelError, PropModel, label_masks, relation_masks
+from .memo import cached
 
 __all__ = [
     "HigherOrderModel", "BadPathError", "PolicyGapError",

@@ -18,8 +18,8 @@ from functools import reduce
 from operator import and_
 from typing import Hashable, Iterable, Mapping
 
-from .formulas import (And, Atom, Bottom, Box, Formula, Implies, Or,
-                       subformula_dag)
+from .formulas import And, Atom, Bottom, Box, Formula, Implies, Or
+from .memo import cached
 
 __all__ = [
     "World", "Frame", "PropModel",
@@ -51,27 +51,6 @@ class UnknownWorldError(ModelError):
 
 class UnsupportedConnectiveError(ModelError):
     """Box/Diamond have no clauses in purely propositional models."""
-
-
-class cached:
-    """A property computed on first use and then kept on the instance, like
-    functools.cached_property, but stored through object.__setattr__: that
-    works on frozen dataclasses and, unlike writing to __dict__, keeps
-    CPython's fast access to the instance's other attributes."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 def world_key(w: World):
@@ -148,6 +127,12 @@ class Frame:
         return index, relation_masks(index, self.le)
 
     @cached
+    def partial_copy_of(self) -> dict:
+        """is_partial_copy's verdicts with this frame as the candidate, by
+        reference frame."""
+        return {}
+
+    @cached
     def _above(self) -> dict:
         out: dict[World, set] = {w: set() for w in self.worlds}
         for a, b in self.le:
@@ -194,9 +179,9 @@ class Kernel:
         return hit[1]
 
     def extensions(self, f: Formula) -> tuple[list[tuple], list[int]]:
-        """Keys of f's distinct subformulas (as in subformula_dag), f last,
-        and the extension of each."""
-        keys = subformula_dag(f)[1]
+        """Keys of f's distinct subformulas (f.program), f last, and the
+        extension of each."""
+        keys = f.program
         exts: list[int] = []
         for cls, *args in keys:
             if cls is Atom:
@@ -304,9 +289,14 @@ def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:
 def is_partial_copy(candidate: Frame, reference: Frame) -> bool:
     """True when candidate repeats part of reference: a subset of its worlds,
     closed upward under the reference order, carrying the restricted order;
-    so its order is exactly the reference pairs that start at its worlds."""
-    return candidate.worlds <= reference.worlds and candidate.le == {
-        (a, b) for a, b in reference.le if a in candidate.worlds}
+    so its order is exactly the reference pairs that start at its worlds.
+    The verdict is kept on the candidate."""
+    known = candidate.partial_copy_of
+    verdict = known.get(reference)
+    if verdict is None:
+        verdict = known[reference] = candidate.worlds <= reference.worlds and \
+            candidate.le == {(a, b) for a, b in reference.le if a in candidate.worlds}
+    return verdict
 
 
 def upward_restrict(frame: Frame, j: World) -> Frame:

@@ -263,13 +263,15 @@ def _world_key(w):
     return (0, "", str(w))
 
 
-def _block_lines(name: str, frame: Frame, r: frozenset, val: frozenset) -> list[str]:
+def _block_body(frame: Frame, r: frozenset, val: frozenset) -> str:
+    """A model block without its ``model <name>`` line, which is all that
+    depends on the name."""
     names = {w: _world_name(w) for w in frame.worlds}
     if len(set(names.values())) != len(names):
         raise ModelFileError("world names collide after flattening; rename the inputs")
     order = [names[w] for w in sorted(frame.worlds, key=_world_key)]
     key = {n: i for i, n in enumerate(order)}
-    lines = [f"model {name}", "worlds " + " ".join(order)]
+    lines = ["worlds " + " ".join(order)]
     for a, b in sorted(((names[a], names[b]) for a, b in frame.le if a != b),
                        key=lambda p: (key[p[0]], key[p[1]])):
         lines.append(f"le {a} {b}")
@@ -283,21 +285,31 @@ def _block_lines(name: str, frame: Frame, r: frozenset, val: frozenset) -> list[
         atoms = " ".join(sorted(atoms_by_world[n]))
         lines.append(f"val {n} : {atoms}".rstrip())
     lines.append("end")
-    return lines
+    return "\n".join(lines)
+
+
+def _member_body(m: PropModel) -> str:
+    """The body of a family member's block, kept on the member: bounded
+    search puts one member object into many families."""
+    body = getattr(m, "_file_body", None)
+    if body is None:
+        body = _block_body(m.frame, frozenset(), m.val)
+        object.__setattr__(m, "_file_body", body)  # as memo.cached does
+    return body
 
 
 def dump_prop_model(m: PropModel, name: str = "K") -> str:
-    return "\n".join(_block_lines(name, m.frame, frozenset(), m.val)) + "\n"
+    return f"model {name}\n{_block_body(m.frame, frozenset(), m.val)}\n"
 
 
 def dump_birelational(m: BirelationalModel, name: str = "K") -> str:
-    return "\n".join(_block_lines(name, m.frame, m.r, m.val)) + "\n"
+    return f"model {name}\n{_block_body(m.frame, m.r, m.val)}\n"
 
 
 def dump_general(g: GeneralModel, reference: str | None = None) -> str:
     lines: list[str] = []
     for k, m in g.submodels:
-        lines.extend(_block_lines(k, m.frame, frozenset(), m.val))
+        lines += [f"model {k}", _member_body(m)]
     if reference is not None:
         lines.append(f"reference {reference}")
     for a, b in sorted(g.succ):
@@ -309,7 +321,7 @@ def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
     if m.level == 0:
         rel = dict(m.relations)
         frame = Frame(frozenset(m.object_names()), rel.get("le", frozenset()))
-        return _block_lines(name, frame, rel.get("r", frozenset()), m.val)
+        return [f"model {name}", _block_body(frame, rel.get("r", frozenset()), m.val)]
     lines = [f"nmodel {name} level {m.level}"]
     for child_name, child in m.objects:
         lines.extend(_higher_lines(child, child_name))

@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .birelational import _RANK, BirelationalModel, classify, forces_ik, forces_mk
-from .formulas import Formula
-from .general import (HomogeneousModel, PartialModel, forces_homogeneous,
-                      forces_partial, general_model)
+from .formulas import Atom, Formula
+from .general import (GeneralModel, HomogeneousModel, PartialModel,
+                      forces_homogeneous, forces_partial)
 from .kripke import Frame, PropModel, closure, forces
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
@@ -121,9 +121,8 @@ def _atom_names(k: int) -> list[str]:
 def _query_alphabet(formulas, k: int) -> list[str]:
     """Atom names the search valuates: the query's own atoms (sorted, first k),
     padded with fresh p1, p2, ... up to exactly k names."""
-    from .formulas import subformulas, Atom
-    names = sorted({sub.name for f in formulas for sub in subformulas(f)
-                    if isinstance(sub, Atom)})[:k]
+    names = sorted({key[1] for f in formulas for key in f.program
+                    if key[0] is Atom})[:k]
     fresh = (name for name in _atom_names(k + len(names)) if name not in names)
     while len(names) < k:
         names.append(next(fresh))
@@ -164,9 +163,19 @@ def _member_ids(m: int) -> list[str]:
     return [f"K{i}" for i in range(1, m + 1)]
 
 
+class _Relations(dict):
+    """Every succ relation over K1..Km, listed on first use for each m."""
+
+    def __missing__(self, m: int) -> list[frozenset]:
+        self[m] = list(_relation_subsets(_member_ids(m)))
+        return self[m]
+
+
 def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialModel]:
     """K1 carries the full reference frame; later members carry upward-closed
-    subframes of it.  Every partial model has this shape up to relabeling."""
+    subframes of it.  Every partial model has this shape up to relabeling.
+    Members are built once per (frame, valuation) and shared by families."""
+    relations = _Relations()
     for n in range(1, b.max_worlds + 1):
         for ref in _frames(n):
             if b.rooted and not _is_rooted(ref):
@@ -174,31 +183,32 @@ def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialMod
             sub_frames = [_sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
             if b.rooted:
                 sub_frames = [fr for fr in sub_frames if _is_rooted(fr)]
+            ref_members, *sub_members = [[PropModel(fr, v) for v in _valuations(fr, atoms)]
+                                         for fr in [ref, *sub_frames]]
             for m in range(1, b.max_submodels + 1):
                 ids = _member_ids(m)
-                for frames in itertools.product(*([[ref]] + [sub_frames] * (m - 1))):
-                    val_spaces = [list(_valuations(fr, atoms)) for fr in frames]
-                    for vals in itertools.product(*val_spaces):
-                        members = {kid: PropModel(fr, v)
-                                   for kid, fr, v in zip(ids, frames, vals)}
-                        for succ in _relation_subsets(ids):
-                            yield PartialModel(general_model(members, succ), "K1")
+                for spaces in itertools.product([ref_members], *[sub_members] * (m - 1)):
+                    for chosen in itertools.product(*spaces):
+                        submodels = tuple(sorted(zip(ids, chosen)))
+                        for succ in relations[m]:
+                            yield PartialModel(GeneralModel(submodels, succ), "K1")
 
 
 def _enumerate_homogeneous(b: SearchBounds, atoms: list[str],
                            singleton: bool) -> Iterator[HomogeneousModel]:
+    relations = _Relations()
     sizes = [1] if singleton else range(1, b.max_worlds + 1)
     for n in sizes:
         for frame in _frames(n):
             if b.rooted and not _is_rooted(frame):
                 continue
-            vals = list(_valuations(frame, atoms))
+            members = [PropModel(frame, v) for v in _valuations(frame, atoms)]
             for m in range(1, b.max_submodels + 1):
                 ids = _member_ids(m)
-                for choice in itertools.product(vals, repeat=m):
-                    members = {kid: PropModel(frame, v) for kid, v in zip(ids, choice)}
-                    for succ in _relation_subsets(ids):
-                        yield HomogeneousModel(general_model(members, succ))
+                for chosen in itertools.product(members, repeat=m):
+                    submodels = tuple(sorted(zip(ids, chosen)))
+                    for succ in relations[m]:
+                        yield HomogeneousModel(GeneralModel(submodels, succ))
 
 
 def _points(model) -> list[tuple[str | None, object]]:

@@ -378,3 +378,84 @@ def naive_higher_eval(m, path, f):
         if p not in t:
             return False
     return True
+
+
+# --- bounded enumeration ----------------------------------------------------
+
+def _naive_preorders(n: int) -> list[frozenset]:
+    """Every preorder over w1..wn: the closures of all off-diagonal generator
+    sets, deduplicated and ordered by their sorted pair lists."""
+    import itertools
+    worlds = [f"w{i}" for i in range(1, n + 1)]
+    off_diag = [(a, b) for a in worlds for b in worlds if a != b]
+    seen = {closure(worlds, [p for p, keep in zip(off_diag, bits) if keep])
+            for bits in itertools.product((False, True), repeat=len(off_diag))}
+    return sorted(seen, key=sorted)
+
+
+def _naive_valuations(frame: Frame, atoms: list[str]) -> list[frozenset]:
+    import itertools
+    ups = [frozenset()] + _up_closed_subsets(frame)
+    return [frozenset((w, atom) for atom, ext in zip(atoms, choice) for w in ext)
+            for choice in itertools.product(ups, repeat=len(atoms))]
+
+
+def _naive_relations(points: list) -> list[frozenset]:
+    import itertools
+    pairs = [(a, b) for a in points for b in points]
+    return [frozenset(p for p, keep in zip(pairs, bits) if keep)
+            for bits in itertools.product((False, True), repeat=len(pairs))]
+
+
+def _naive_block(name: str, frame: Frame, r, val) -> list[str]:
+    order = sorted(frame.worlds)
+    lines = [f"model {name}", "worlds " + " ".join(order)]
+    lines += [f"le {a} {b}" for a in order for b in order if a != b and (a, b) in frame.le]
+    lines += [f"r {a} {b}" for a in order for b in order if (a, b) in r]
+    lines += [f"val {w} : {' '.join(sorted(x for v, x in val if v == w))}".rstrip()
+              for w in order]
+    return lines + ["end"]
+
+
+def naive_model_texts(logic: str, max_worlds: int, atoms: list[str],
+                      max_submodels: int = 1):
+    """The canonical model-file text of every model that
+    search.enumerate_models(SearchBounds(logic, max_worlds, len(atoms),
+    max_submodels), atoms) yields, in its order.  Every candidate is built
+    from scratch; ik and mk candidates are classified one by one."""
+    import itertools
+    from imk import BirelationalModel, classify
+    rank = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}
+    sizes = [1] if logic == "classicalK" else range(1, max_worlds + 1)
+    for n in sizes:
+        worlds = [f"w{i}" for i in range(1, n + 1)]
+        for le in _naive_preorders(n):
+            frame = Frame(frozenset(worlds), le)
+            vals = _naive_valuations(frame, atoms)
+            if logic == "prop":
+                for v in vals:
+                    yield "\n".join(_naive_block("K", frame, (), v)) + "\n"
+            elif logic in ("ik", "mk"):
+                want = rank["strong" if logic == "mk" else "birelational"]
+                for v in vals:
+                    for r in _naive_relations(worlds):
+                        if rank[classify(BirelationalModel(frame, r, v))] >= want:
+                            yield "\n".join(_naive_block("K", frame, r, v)) + "\n"
+            else:
+                if logic == "partial":  # K1 is the reference; others upward-closed parts
+                    subs = [Frame(kept, frozenset((a, b) for a, b in le
+                                                  if a in kept and b in kept))
+                            for kept in _up_closed_subsets(frame)]
+                    tail = ["reference K1"]
+                else:  # homogeneous, classicalK: one shared frame
+                    subs, tail = [frame], []
+                for m in range(1, max_submodels + 1):
+                    ids = [f"K{i}" for i in range(1, m + 1)]
+                    for frames in itertools.product([frame], *[subs] * (m - 1)):
+                        for chosen in itertools.product(
+                                *[_naive_valuations(fr, atoms) for fr in frames]):
+                            blocks = [line for k, fr, v in sorted(zip(ids, frames, chosen))
+                                      for line in _naive_block(k, fr, (), v)]
+                            for succ in _naive_relations(ids):
+                                yield "\n".join(blocks + tail + [f"succ {a} {b}" for a, b
+                                                                  in sorted(succ)]) + "\n"

@@ -91,6 +91,11 @@ class TestParseCommand:
         assert main(["parse", "--formula", "p &"]) == 1
         assert "position" in capsys.readouterr().err
 
+    def test_deep_formula(self, capsys):
+        for text in ["~" * 3000 + "p", "[]<>" * 1500 + "p", " -> ".join(["p"] * 3000)]:
+            assert main(["parse", "--formula", text]) == 0
+            assert capsys.readouterr().out == text + "\n"
+
 
 class TestCheckCommand:
     def test_per_world_verdicts(self, three_world, capsys):
@@ -135,10 +140,10 @@ class TestCheckCommand:
         nested = tmp_path / "nested.km"
         nested.write_text(NESTED)
         cases = [(chain, ["--logic", "prop"],
-                  {500: ["w: true", "w2: true"], 499: ["w: false", "w2: false"]}),
+                  {3000: ["w: true", "w2: true"], 2999: ["w: false", "w2: false"]}),
                  (nested, [],
-                  {500: ["K1:w1: false", "K2:w1: true"],
-                   499: ["K1:w1: true", "K2:w1: false"]})]
+                  {3000: ["K1:w1: false", "K2:w1: true"],
+                   2999: ["K1:w1: true", "K2:w1: false"]})]
         for path, extra, verdicts in cases:
             for depth, lines in verdicts.items():
                 assert main(["check", "--model", str(path), "--formula",
@@ -281,11 +286,17 @@ class TestEnumerateCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+        # the child imports the same imk as this test, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "imk.cli", "parse", "--formula", "~p"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "~p"
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
+import imk.cli
+
 from imk import (And, Atom, BOTTOM, Box, Diamond, Implies, Not, Or, ParseError,
                  TOP, complexity, parse, render, subformulas)
+from imk.formulas import modal_free
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -76,6 +82,39 @@ class TestParse:
             parse("p q")
 
 
+def _left_nested_implications(depth: int) -> str:
+    text = "p"
+    for _ in range(depth):
+        text = f"({text}) -> q" if " " in text else f"{text} -> q"
+    return text
+
+
+# Canonical texts nested 3,000 deep, each with its complexity and whether it
+# is modal-free.  Deep formulas are compared by their text: dataclass ==
+# and hash recurse on the nesting depth.
+DEEP = {"negations": ("~" * 3000 + "p", 6000, True),
+        "modalities": ("[]<>" * 1500 + "p", 3000, False),
+        "right_implications": (" -> ".join(["p"] * 3000), 2999, True),
+        "left_conjunctions": (" & ".join(["p"] * 3000), 2999, True),
+        "disjunctions": (" | ".join(["(p -> q)"] * 3000), 5999, True),
+        "left_implications": (_left_nested_implications(3000), 3000, True)}
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("text, size, free", DEEP.values(), ids=DEEP)
+    def test_parse_render_measure(self, text, size, free):
+        f = parse(text)
+        assert render(f) == text
+        assert complexity(f) == size
+        assert modal_free(f) == free
+
+    def test_deep_parentheses(self):
+        assert render(parse("(" * 3000 + "p" + ")" * 3000)) == "p"
+        with pytest.raises(ParseError, match="unbalanced") as err:
+            parse("(" * 3000 + "p" + ")" * 2999)
+        assert err.value.position == 1
+
+
 class TestRender:
     def test_negation_sugar(self):
         assert render(Implies(P, BOTTOM)) == "~p"
@@ -95,6 +134,10 @@ class TestRender:
     @given(formulas())
     def test_round_trip(self, f):
         assert parse(render(f)) == f
+
+    @given(formulas())
+    def test_render_is_a_fixed_point(self, f):
+        assert render(parse(render(f))) == render(f)
 
     @given(formulas())
     def test_implication_to_bottom_always_renders_as_negation(self, f):
@@ -141,3 +184,21 @@ class TestSubformulas:
     @given(formulas())
     def test_self_is_last(self, f):
         assert subformulas(f)[-1] == f
+
+
+# formula-like noise: every lexeme, stray characters and whitespace
+_LEXEMES = ["p", "q1", "x_Y", "_|_", "T", "~", "[]", "<>", "&", "|", "->", "(", ")",
+            " ", "\n", "#", "-", "<", "[", "_", "?", "\x00", "\u00e9"]
+
+
+@given(st.one_of(formulas().map(render),
+                 st.lists(st.sampled_from(_LEXEMES), max_size=30).map("".join),
+                 st.text(max_size=30)))
+def test_cli_parse_answers_or_rejects(text):
+    """Exit 0 (parsed) or 1 (rejected input), never an internal error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = imk.cli.main(["parse", "--formula", text])
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert out.getvalue() == render(parse(text)) + "\n"

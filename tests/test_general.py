@@ -8,7 +8,7 @@ from imk import (HomogeneousModel, as_homogeneous, as_partial,
                  general_model, model_valid, modular_mk_evaluate, parse,
                  valid_at_submodel, valid_in_model, validate_homogeneous,
                  validate_partial)
-from imk.formulas import Box, subformulas
+from imk.formulas import BOTTOM, Box, subformulas
 from imk.general import (CLASSICAL_POINT, CarrierMismatchError,
                          InvalidModelClassError, UnknownSubmodelError,
                          classical_base_forces, classical_carrier,
@@ -182,6 +182,18 @@ class TestAgainstOracles:
                     for f in pool:
                         assert ent(m, k, w, gamma, f) == \
                             naive_family_entails(oracle, m, k, w, gamma, f)
+
+
+class TestCompileOnce:
+    def test_pool_is_walked_once_per_formula(self, walks):
+        # BOTTOM is a shared constant that other tests may have walked already
+        pool = [f for f in formula_pool(31, 3, ["p1", "p2"], seed=21) if f is not BOTTOM]
+        assert len(pool) == 30
+        for h in homogeneous_corpus(100):
+            for k, w in h.general.cells():
+                for f in pool:
+                    forces_homogeneous(h, k, w, f)
+        assert len(walks) == 30
 
 
 class TestModularClauses:

@@ -155,6 +155,15 @@ class TestPartialCopy:
         discrete = build_frame({"a", "e"}, set())
         assert not is_partial_copy(discrete, two)
 
+    def test_each_reference_gets_its_own_verdict(self, chain):
+        # the verdict is kept on the candidate, once per reference frame
+        short = build_frame({"a", "e"}, {("a", "e")})
+        reversed_chain = build_frame({"m", "a", "e"}, {("e", "a"), ("a", "m")})
+        for _ in range(2):
+            assert is_partial_copy(short, chain)
+            assert not is_partial_copy(short, reversed_chain)
+            assert is_partial_copy(short, short)
+
 
 class TestUpwardRestrict:
     def test_chain_at_middle(self, chain):

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from gen import naive_model_texts
 from imk import (SearchBounds, classify, enumerate_models, find_countermodel,
                  forces, forces_ik, parse)
 from imk.general import HomogeneousModel, PartialModel
@@ -146,3 +149,36 @@ class TestFindCountermodel:
                                 SearchBounds("homogeneous", 1, 1,
                                              max_submodels=2))
         assert out.found
+
+
+class TestAgainstNaiveEnumeration:
+    """The whole text stream of enumerate_models + serialize_model, in order,
+    against enumeration and serialization written from scratch."""
+
+    @pytest.mark.parametrize("logic, worlds, atoms, members", [
+        ("prop", 3, 1, 1), ("prop", 2, 2, 1), ("ik", 3, 1, 1), ("mk", 3, 1, 1),
+        ("partial", 2, 1, 3), ("partial", 3, 1, 2), ("homogeneous", 3, 1, 2),
+        ("classicalK", 1, 2, 2)])
+    def test_same_stream(self, logic, worlds, atoms, members):
+        b = SearchBounds(logic, worlds, atoms, members)
+        alphabet = [f"p{i}" for i in range(1, atoms + 1)]
+        ours = (serialize_model(m) for m in enumerate_models(b))
+        naive = naive_model_texts(logic, worlds, alphabet, members)
+        count = 0
+        for count, (text, want) in enumerate(itertools.zip_longest(ours, naive), 1):
+            assert text == want, f"model {count} differs"
+        assert count > 0
+
+
+class TestCompileOnce:
+    def test_search_walks_the_goal_once(self, walks):
+        f = parse("(~[]_|_) -> <>T")
+        out = find_countermodel(f, [], SearchBounds("mk", 3, 1))
+        assert out.models_examined == 4778
+        assert len(walks) == 1 and walks[0] is f
+
+    def test_premises_are_walked_once_each(self, walks):
+        f, g = parse("<>p -> []p"), parse("p | ~p")
+        out = find_countermodel(f, [g], SearchBounds("mk", 3, 1))
+        assert out.found and out.models_examined > 1
+        assert len(walks) == 2 and {id(x) for x in walks} == {id(f), id(g)}
