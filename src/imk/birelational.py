@@ -15,11 +15,12 @@ IK forcing is defined on birelational models, MK forcing on strong ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, relation_masks)
+                     World, compose, points)
 from .memo import cached
 
 __all__ = [
@@ -66,21 +67,28 @@ class BirelationalModel:
         return {}
 
     @cached
-    def ik_kernel(self) -> Kernel:
-        """IK: box reads r from every later world, diamond reads r."""
+    def rows(self) -> dict[str, list[int]]:
+        """Over frame.compiled's numbering: up and its converse down, r and
+        its converse rinv."""
         index, up = self.frame.compiled
-        r = relation_masks(index, self.r)
-        box = [0] * len(r)
-        for a, b in self.frame.le:
-            box[index[a]] |= r[index[b]]
-        return Kernel(index, up, self.prop.atom_masks, box, r)
+        r, rinv = [0] * len(up), [0] * len(up)
+        for a, b in self.r:
+            i, j = index[a], index[b]
+            r[i] |= 1 << j
+            rinv[j] |= 1 << i
+        return {"up": up, "down": self.frame.down, "r": r, "rinv": rinv}
+
+    @cached
+    def ik_kernel(self) -> Kernel:
+        """IK: box reads r from every later world (up followed by r), diamond reads r."""
+        up, r = self.rows["up"], self.rows["r"]
+        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks, compose(up, r), r)
 
     @cached
     def mk_kernel(self) -> Kernel:
         """MK: box and diamond both read r."""
-        index, up = self.frame.compiled
-        r = relation_masks(index, self.r)
-        return Kernel(index, up, self.prop.atom_masks, r, r)
+        up, r = self.rows["up"], self.rows["r"]
+        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks, r, r)
 
 
 @dataclass(frozen=True)
@@ -96,61 +104,58 @@ class ConditionReport:
         assert self.unique == (self.holds and not self.nonunique)
 
 
-def _antecedents(m: BirelationalModel, c: str):
-    """Antecedent triples of condition c together with their witness sets."""
-    le, r = m.frame.le, m.r
-    if c == "F1":
-        for w, w2 in le:
-            for a, j in r:
-                if a == w:
-                    yield (w, w2, j), [j2 for b, j2 in r
-                                       if b == w2 and (j, j2) in le]
-    elif c == "F2":
-        for w, j in r:
-            for a, j2 in le:
-                if a == j:
-                    yield (w, j, j2), [w2 for w2, b in r
-                                       if b == j2 and (w, w2) in le]
-    elif c == "F3":
-        for w, w2 in le:
-            for a, j2 in r:
-                if a == w2:
-                    yield (w, w2, j2), [j for b, j in r
-                                        if b == w and (j, j2) in le]
-    elif c == "F4":
-        for j, j2 in le:
-            for w2, b in r:
-                if b == j2:
-                    yield (j, j2, w2), [w for w, a in r
-                                        if a == j and (w, w2) in le]
-    else:
-        raise ValueError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
+# Law c holds when, for each point a and each b in reach[a] (the rows x
+# followed by the rows y), the witnesses left[a] & right[b] are not empty, and
+# are one point where uniqueness is asked for.  Each entry picks x, y, left
+# and the converses right' and y' out of BirelationalModel.rows.  An
+# antecedent's middle point lies in x[a] & y'[b]; F1 lists it first, the
+# others second.
+_LAWS = {"F1": itemgetter("down", "r", "r", "down", "rinv"),
+         "F2": itemgetter("r", "up", "up", "r", "down"),
+         "F3": itemgetter("up", "r", "r", "up", "rinv"),
+         "F4": itemgetter("up", "rinv", "rinv", "up", "r")}
+
+
+def _failures(m: BirelationalModel, c: str, unique: bool):
+    """(a, the b in reach[a] with no witness, the b with two or more) for each
+    point a where law c fails, or where uniqueness is asked for and fails.
+    The bits are walked inline: search classifies every candidate it builds."""
+    x, y, left, right, _ = _LAWS[c](m.rows)
+    for a, row in enumerate(x):
+        reach = 0
+        while row:
+            low = row & -row
+            reach |= y[low.bit_length() - 1]
+            row ^= low
+        once = twice = 0
+        row = left[a]
+        while row:  # the point j of left[a] witnesses (a, b) for each b in right'[j]
+            low = row & -row
+            j = right[low.bit_length() - 1]
+            twice |= once & j
+            once |= j
+            row ^= low
+        if reach & ~once or unique and reach & twice:
+            yield a, reach & ~once, reach & twice
 
 
 def check_condition(m: BirelationalModel, c: str) -> ConditionReport:
     """Exhaustive report for one condition: all violations and all antecedents
-    whose witness is not unique."""
-    violations = []
-    nonunique = []
-    for triple, witnesses in _antecedents(m, c):
-        if not witnesses:
-            violations.append(triple)
-        elif len(set(witnesses)) > 1:
-            nonunique.append(triple)
-    violations = tuple(sorted(set(violations), key=repr))
-    nonunique = tuple(sorted(set(nonunique), key=repr))
-    holds = not violations
-    return ConditionReport(c, holds, holds and not nonunique, violations, nonunique)
-
-
-def _condition_ok(m: BirelationalModel, c: str, unique: bool) -> bool:
-    """Early-exit check used by classify; check_condition stays exhaustive."""
-    for _, witnesses in _antecedents(m, c):
-        if not witnesses:
-            return False
-        if unique and len(set(witnesses)) > 1:
-            return False
-    return True
+    whose witness is not unique.  Only failing (a, b) pairs are expanded."""
+    if c not in _LAWS:
+        raise ValueError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
+    x, _, _, _, back = _LAWS[c](m.rows)
+    names = list(m.frame.compiled[0])
+    found = [], []  # violations, non-unique antecedents
+    for a, *masks in _failures(m, c, True):
+        for out, mask in zip(found, masks):
+            for b in points(mask):
+                for mid in points(x[a] & back[b]):
+                    triple = (mid, a, b) if c == "F1" else (a, mid, b)
+                    out.append(tuple(names[i] for i in triple))
+    violations, nonunique = (tuple(sorted(out, key=repr)) for out in found)
+    return ConditionReport(c, not violations, not violations and not nonunique,
+                           violations, nonunique)
 
 
 def classify(m: BirelationalModel, require_unique: bool = True) -> str:
@@ -158,13 +163,10 @@ def classify(m: BirelationalModel, require_unique: bool = True) -> str:
     'birelational' > 'none'.  Witness uniqueness is part of each class
     definition; pass require_unique=False to accept non-unique witnesses."""
     if require_unique not in m.classes:
-        cls = "excessive"
-        for c, weaker in (("F1", "none"), ("F2", "none"),
-                          ("F3", "birelational"), ("F4", "strong")):
-            if not _condition_ok(m, c, require_unique):
-                cls = weaker
-                break
-        m.classes[require_unique] = cls
+        held = 0  # how many of F1, F2, F3, F4 hold, in that order
+        while held < 4 and not next(_failures(m, CONDITIONS[held], require_unique), None):
+            held += 1
+        m.classes[require_unique] = ("none", "none", "birelational", "strong", "excessive")[held]
     return m.classes[require_unique]
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .birelational import (CONDITIONS, check_condition, classify, entails_ik,
@@ -59,9 +61,33 @@ def _ast_json(f: Formula):
     return nodes[-1]
 
 
+def _json_chunks(value):
+    """The text of json.dumps(value, indent=2, sort_keys=True) in pieces, from
+    an explicit stack in place of the standard encoder's recursion, so that
+    deep syntax trees print."""
+    stack = [(value, "\n")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):  # brackets, keys, commas and indentation
+            yield item
+            continue
+        v, pad = item
+        if not v or not isinstance(v, (dict, list, tuple)):  # scalars, {} and []
+            yield encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
+            continue
+        keyed, inner = isinstance(v, dict), pad + "  "
+        items = sorted(v.items()) if keyed else [("", x) for x in v]
+        yield "{" if keyed else "["
+        stack.append(pad + ("}" if keyed else "]"))
+        for i in range(len(items) - 1, -1, -1):  # pushed last to first
+            key = encode_basestring_ascii(items[i][0]) + ": " if keyed else ""
+            stack += [(items[i][1], inner), "," * (i > 0) + inner + key]
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.writelines(_json_chunks(payload))
+        print()
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -277,12 +303,8 @@ def _cmd_countermodel(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     texts = [serialize_model(m) for m in enumerate_models(_bounds(args))]
-    if args.json:
-        print(json.dumps({"count": len(texts), "models": texts}, indent=2))
-    else:
-        for text in texts:
-            sys.stdout.write(text + "\n")
-        print(f"# enumerated {len(texts)} models")
+    _emit(args, {"count": len(texts), "models": texts},
+          "".join(text + "\n" for text in texts) + f"# enumerated {len(texts)} models")
     return 0
 
 
@@ -308,53 +330,51 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     common(p, formula=True)
-    p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("check", help="evaluate a formula on a model")
     common(p, model=True, formula=True)
     p.add_argument("--logic", choices=LOGICS)
     p.add_argument("--at", help="<world> or <world>:<submodel>")
     p.add_argument("--as", dest="as_class", choices=("partial", "homogeneous"))
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("frame-check", help="report conditions F1-F4")
     common(p, model=True)
-    p.set_defaults(func=_cmd_frame_check)
 
     p = sub.add_parser("classify", help="strongest model class")
     common(p, model=True)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("flatten", help="flatten a family into one birelational model")
     common(p, model=True)
     p.add_argument("-o", "--output", help="write the flat model here")
-    p.set_defaults(func=_cmd_flatten)
 
     p = sub.add_parser("equiv-report",
                        help="compare family forcing against the flat model")
     common(p, model=True, formula=True)
     p.add_argument("--logic", choices=("ik", "mk"))
-    p.set_defaults(func=_cmd_equiv_report)
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
     common(p, formula=True, bounds=True)
     p.add_argument("-o", "--output", help="write a found model here")
-    p.set_defaults(func=_cmd_countermodel)
 
     p = sub.add_parser("enumerate", help="list every model within bounds")
     common(p, bounds=True)
-    p.set_defaults(func=_cmd_enumerate)
     return top
 
 
+@cache
+def _parser() -> _Parser:
+    """main's parser: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "formula", None) is None and args.command in ("parse", "check",
                                                                        "countermodel"):
             raise UsageError("--formula is required")
-        return args.func(args)
+        # the handler is looked up now, not bound into the kept parser
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ParseError, ModelFileError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

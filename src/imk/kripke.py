@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
-from typing import Hashable, Iterable, Mapping
+from operator import and_, or_
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .formulas import And, Atom, Bottom, Box, Formula, Implies, Or
 from .memo import cached
@@ -25,7 +25,7 @@ __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
     "build_frame", "build_prop_model", "closure", "relation_masks", "label_masks",
-    "Kernel", "forces", "entails", "model_valid",
+    "points", "compose", "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "world_key",
 ]
 
@@ -93,6 +93,19 @@ def label_masks(index: Mapping, pairs: Iterable[tuple]) -> dict[str, int]:
     return out
 
 
+def points(mask: int) -> Iterator[int]:
+    """The numbers of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def compose(x: list[int], y: list[int]) -> list[int]:
+    """The rows x followed by y: row i is the union of y's rows at x[i]'s points."""
+    return [reduce(or_, (y[j] for j in points(row)), 0) for row in x]
+
+
 def _point_at(index: Mapping, mask: int):
     """The point behind the lowest set bit of a nonzero mask."""
     return list(index)[(mask & -mask).bit_length() - 1]
@@ -125,6 +138,11 @@ class Frame:
         bitmask of the worlds at or above it."""
         index = {w: i for i, w in enumerate(self.worlds)}
         return index, relation_masks(index, self.le)
+
+    @cached
+    def down(self) -> list[int]:
+        """For each number, the bitmask of the worlds at or below it."""
+        return relation_masks(self.compiled[0], ((b, a) for a, b in self.le))
 
     @cached
     def partial_copy_of(self) -> dict:

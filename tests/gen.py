@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 
-from imk import (And, Atom, BOTTOM, Box, Diamond, HigherOrderModel,
-                 HomogeneousModel, Implies, Not, Or, PartialModel, PropModel,
-                 general_model, wrap_prop_model)
+from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond,
+                 HigherOrderModel, HomogeneousModel, Implies, Not, Or,
+                 PartialModel, PropModel, general_model, wrap_prop_model)
 from imk.kripke import Frame, closure
 
 
@@ -173,10 +173,12 @@ def classical_k_forces(valuations: dict, succ: set, k: str, f) -> bool:
 
 def naive_condition(m, c: str):
     """Interaction-law check by sweeping all world triples, for cross-checking
-    the pair-driven implementation.  Returns (holds, unique)."""
+    the row-driven implementation.  Returns (holds, unique, violations,
+    nonunique): the two flags and the sets of antecedent triples with no
+    witness and with two or more."""
     worlds = sorted(m.frame.worlds)
     le, r = m.frame.le, m.r
-    holds, unique = True, True
+    violations, nonunique = set(), set()
     for x in worlds:
         for y in worlds:
             for z in worlds:
@@ -192,12 +194,33 @@ def naive_condition(m, c: str):
                 else:
                     fires = (x, y) in le and (z, y) in r
                     wits = [v for v in worlds if (v, x) in r and (v, z) in le]
-                if fires:
-                    if not wits:
-                        holds = False
-                    if len(wits) > 1:
-                        unique = False
-    return holds, holds and unique
+                if fires and not wits:
+                    violations.add((x, y, z))
+                if fires and len(wits) > 1:
+                    nonunique.add((x, y, z))
+    holds = not violations
+    return holds, holds and not nonunique, violations, nonunique
+
+
+def naive_class(m, require_unique: bool = True) -> str:
+    """The class named by how many of F1, F2, F3, F4 hold in turn, read off
+    the triple sweep."""
+    held = 0
+    for c in ("F1", "F2", "F3", "F4"):
+        holds, unique, _, _ = naive_condition(m, c)
+        if not (unique if require_unique else holds):
+            break
+        held += 1
+    return ("none", "none", "birelational", "strong", "excessive")[held]
+
+
+def random_birelational(rng: random.Random, max_worlds: int, density: float):
+    """A random frame with a random r, each pair kept with the given
+    probability; no valuation."""
+    frame = random_frame(rng, max_worlds)
+    worlds = frame.sorted_worlds()
+    r = frozenset((a, b) for a in worlds for b in worlds if rng.random() < density)
+    return BirelationalModel(frame, r, frozenset())
 
 
 def naive_ik_forces(m, w, f) -> bool:

@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 
 from imk import (BirelationalModel, build_frame, check_condition, classify,
@@ -7,7 +10,8 @@ from imk.birelational import NotBirelationalError, NotStrongError
 from imk.formulas import modal_free
 from imk.search import SearchBounds, enumerate_models
 
-from gen import formula_pool, naive_condition, naive_ik_forces, naive_mk_forces
+from gen import (formula_pool, naive_class, naive_condition, naive_ik_forces,
+                 naive_mk_forces, random_birelational)
 
 SEP1 = parse("(~[]_|_) -> <>T")
 SEP2 = parse("([](p|~p) & ~[]p) -> <>~p")
@@ -67,8 +71,27 @@ class TestCheckCondition:
                 r = frozenset(p for p, keep in zip(pairs, bits) if keep)
                 m = BirelationalModel(frame, r, frozenset())
                 for c in ("F1", "F2", "F3", "F4"):
-                    rep = check_condition(m, c)
-                    assert (rep.holds, rep.unique) == naive_condition(m, c)
+                    assert_matches_sweep(m, c)
+
+    @pytest.mark.parametrize("density", [0.15, 0.5, 0.85], ids=["sparse", "half", "dense"])
+    def test_random_models_field_by_field(self, density):
+        rng = random.Random(31 + int(100 * density))
+        for _ in range(400):
+            m = random_birelational(rng, 6, density)
+            for c in ("F1", "F2", "F3", "F4"):
+                assert_matches_sweep(m, c)
+            for require_unique in (True, False):
+                assert classify(m, require_unique) == naive_class(m, require_unique)
+
+
+def assert_matches_sweep(m, c):
+    """check_condition against the triple sweep: both flags, both triple sets,
+    each triple once and in repr order."""
+    rep = check_condition(m, c)
+    holds, unique, violations, nonunique = naive_condition(m, c)
+    assert (rep.condition, rep.holds, rep.unique) == (c, holds, unique)
+    assert rep.violations == tuple(sorted(violations, key=repr))
+    assert rep.nonunique == tuple(sorted(nonunique, key=repr))
 
 
 class TestClassify:
@@ -102,6 +125,38 @@ class TestClassify:
                 assert classify(m) == expected
                 count += 1
         assert count == 2 + 16 + 16
+
+
+def chain(n: int, r_is_le: bool) -> BirelationalModel:
+    """w0 <= w1 <= ... with r the identity or r = le."""
+    worlds = [f"w{i}" for i in range(n)]
+    frame = build_frame(worlds, zip(worlds, worlds[1:]))
+    r = frame.le if r_is_le else frozenset((w, w) for w in worlds)
+    return BirelationalModel(frame, r, frozenset())
+
+
+class TestLargeModels:
+    def test_long_chain_identity_r(self):
+        m = chain(200, r_is_le=False)
+        assert classify(m) == classify(m, require_unique=False) == "excessive"
+        for c in ("F1", "F2", "F3", "F4"):
+            rep = check_condition(m, c)
+            assert rep.holds and rep.unique and not rep.violations and not rep.nonunique
+
+    def test_chain_with_r_equal_to_le(self):
+        n = 40
+        m = chain(n, r_is_le=True)
+        assert classify(m) == "none"
+        assert classify(m, require_unique=False) == "excessive"
+        reps = [check_condition(m, c) for c in ("F1", "F2", "F3", "F4")]
+        assert all(rep.holds and not rep.unique and not rep.violations for rep in reps)
+        # counted by hand: F1's (w, w2, j) has two witnesses or more when w2
+        # and j lie below the top world, and F4 mirrors it; F2 and F3 take
+        # every x <= y <= z except the n triples with x = z
+        wide, narrow = sum(k * k for k in range(1, n)), comb(n + 2, 3) - n
+        assert [len(rep.nonunique) for rep in reps] == [wide, narrow, narrow, wide]
+        assert ("w0", "w1", "w2") in reps[1].nonunique
+        assert ("w0", "w0", "w0") not in reps[1].nonunique
 
 
 @pytest.fixture

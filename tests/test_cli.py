@@ -1,10 +1,13 @@
+import contextlib
 import json
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 import imk.cli as cli
 from imk.cli import UsageError, main
-from imk.formulas import ParseError
+from imk.formulas import ParseError, complexity, parse, render
 from imk.kripke import HeredityError
 from imk.modelfile import ModelFileError
 
@@ -96,6 +99,75 @@ class TestParseCommand:
             assert main(["parse", "--formula", text]) == 0
             assert capsys.readouterr().out == text + "\n"
 
+    @pytest.mark.parametrize("text", ["p", "~" * 400 + "p", "[]<>" * 200 + "p",
+                                      " -> ".join(["p"] * 400), "(p | q) & ~[](q -> <>_|_)"],
+                             ids=["atom", "not", "box_dia", "implies", "mixed"])
+    def test_json_is_the_standard_encoding(self, capsys, text):
+        f = parse(text)
+        payload = {"formula": render(f), "complexity": complexity(f), "ast": cli._ast_json(f)}
+        assert main(["parse", "--json", "--formula", text]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_json_deep_formula(self):
+        sink = _Sink()
+        with contextlib.redirect_stdout(sink):
+            assert main(["parse", "--json", "--formula", "~" * 3000 + "p"]) == 0
+        assert sink.head.startswith('{\n  "ast": {\n    "left": {') and sink.tail.endswith("}\n")
+
+
+class _Sink:
+    """A stdout that keeps only the first and the last 100 characters."""
+    head = tail = ""
+
+    def write(self, text):
+        if len(self.head) < 100:
+            self.head = (self.head + text)[:100]
+        self.tail = (self.tail + text[-100:])[-100:]
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self):
+        pass
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(_json_values)
+def test_json_chunks_match_the_standard_encoder(value):
+    assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        assert main(["parse", "--formula", "p"]) == 0
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not build again
+        assert main(["parse", "--formula", "q"]) == 0
+        assert main(["parse", "--formula", "p", "--bogus"]) == 1
+        assert main(["classify"]) == 1
+        assert capsys.readouterr().out == "p\nq\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],
+                                      ["countermodel", "--help"]])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, argv):
+        main(["parse", "--formula", "p"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        first, second = capsys.readouterr().out.split("usage: imk")[1:]
+        assert first == second
+
 
 class TestCheckCommand:
     def test_per_world_verdicts(self, three_world, capsys):
@@ -179,6 +251,24 @@ class TestFrameCheck:
         assert data["class"] == "birelational"
         f3 = next(r for r in data["reports"] if r["condition"] == "F3")
         assert f3["holds"] is False and f3["violations"] == [["w", "w2", "w3"]]
+
+
+    def test_json_on_long_chain(self, tmp_path, capsys):
+        n = 40
+        worlds = [f"w{i}" for i in range(n)]
+        lines = ["model C", "worlds " + " ".join(worlds)]
+        lines += [f"le {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"r {worlds[i]} {worlds[j]}" for i in range(n) for j in range(i, n)]
+        path = tmp_path / "chain.km"
+        path.write_text("\n".join(lines + ["end", ""]))
+        assert main(["frame-check", "--json", "--model", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["class"] == "none"
+        assert [(r["holds"], r["unique"], r["violations"]) for r in data["reports"]] == \
+            [(True, False, [])] * 4
+        wide, narrow = sum(k * k for k in range(1, n)), comb(n + 2, 3) - n
+        assert [len(r["nonunique"]) for r in data["reports"]] == [wide, narrow, narrow, wide]
+        assert data["reports"][0]["nonunique"][0] == ["w0", "w0", "w0"]
 
 
 class TestClassify:
