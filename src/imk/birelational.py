@@ -19,8 +19,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
-from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, compose, points)
+from .kripke import Frame, Kernel, ModelError, PropModel, World, compose, points
 from .memo import cached
 
 __all__ = [
@@ -173,7 +172,9 @@ def classify(m: BirelationalModel, require_unique: bool = True) -> str:
 _RANK = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}
 
 
-def _require(m: BirelationalModel, rank: str, require_unique: bool) -> None:
+def _kernel(m: BirelationalModel, rank: str, require_unique: bool) -> Kernel:
+    """The MK kernel for rank 'strong', else the IK one, once the model is
+    known to be of that rank."""
     cls = classify(m, require_unique)
     if _RANK[cls] < _RANK[rank]:
         if rank == "strong":
@@ -181,6 +182,7 @@ def _require(m: BirelationalModel, rank: str, require_unique: bool) -> None:
                 f"model classifies as {cls!r}; MK forcing requires F3 (a strong model)")
         raise NotBirelationalError(
             f"model classifies as {cls!r}; IK forcing requires F1 and F2")
+    return m.mk_kernel if rank == "strong" else m.ik_kernel
 
 
 def forces_ik(m: BirelationalModel, w: World, f: Formula, *,
@@ -198,29 +200,19 @@ def forces_mk(m: BirelationalModel, w: World, f: Formula, *,
 
 def entails_ik(m: BirelationalModel, w: World, gamma: Iterable[Formula],
                f: Formula, *, require_unique: bool = True) -> bool:
-    _require(m, "birelational", require_unique)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-    return m.ik_kernel.entails(w, gamma, f)
+    return _kernel(m, "birelational", require_unique).entails(w, gamma, f)
 
 
 def entails_mk(m: BirelationalModel, w: World, gamma: Iterable[Formula],
                f: Formula, *, require_unique: bool = True) -> bool:
-    _require(m, "strong", require_unique)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-    return m.mk_kernel.entails(w, gamma, f)
+    return _kernel(m, "strong", require_unique).entails(w, gamma, f)
 
 
 def valid_ik(m: BirelationalModel, gamma: Iterable[Formula], f: Formula, *,
              require_unique: bool = True) -> bool:
-    gamma = list(gamma)
-    return all(entails_ik(m, w, gamma, f, require_unique=require_unique)
-               for w in m.frame.worlds)
+    return _kernel(m, "birelational", require_unique).valid(gamma, f)
 
 
 def valid_mk(m: BirelationalModel, gamma: Iterable[Formula], f: Formula, *,
              require_unique: bool = True) -> bool:
-    gamma = list(gamma)
-    return all(entails_mk(m, w, gamma, f, require_unique=require_unique)
-               for w in m.frame.worlds)
+    return _kernel(m, "strong", require_unique).valid(gamma, f)

@@ -50,13 +50,13 @@ def _ast_json(f: Formula):
     """The syntax tree as nested dicts, built bottom-up over f.program, so
     deep formulas cost no recursion; equal subtrees share one dict."""
     nodes: list[dict] = []
-    for cls, *args in f.program:
+    for cls, a, b in f.program:
         node = {"type": cls.__name__.lower()}
         if cls is Atom:
-            node["name"] = args[0]
+            node["name"] = a
         else:
             fields = ("inner",) if cls in (Box, Diamond) else ("left", "right")
-            node.update(zip(fields, (nodes[i] for i in args)))
+            node.update(zip(fields, (nodes[i] for i in (a, b) if i is not None)))
         nodes.append(node)
     return nodes[-1]
 

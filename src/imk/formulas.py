@@ -225,8 +225,9 @@ def render(f: Formula) -> str:
 def complexity(f: Formula) -> int:
     """Count of logical symbols: every connective and Bottom is 1, atoms are 0."""
     sizes: list[int] = []
-    for cls, *args in f.program:
-        sizes.append(0 if cls is Atom else 1 + sum(sizes[i] for i in args))
+    for cls, a, b in f.program:
+        sizes.append(0 if cls is Atom else 1 if cls is Bottom else
+                     1 + sizes[a] + (0 if b is None else sizes[b]))
     return sizes[-1]
 
 
@@ -242,9 +243,10 @@ def _children(f: Formula) -> tuple:
 
 def subformula_dag(f: Formula) -> tuple[list[Formula], list[tuple]]:
     """The distinct subformulas of f in post-order, f itself last, each with a
-    key: (Atom, name) for an atom, otherwise the node's class followed by the
-    list positions of its children.  The walk is iterative and compares keys,
-    never whole formulas, so nesting depth costs no recursion."""
+    key (class, a, b): a is an atom's name or the list position of the first
+    child, b the position of the second child, and None stands for what a
+    node lacks.  The walk is iterative and compares keys, never whole
+    formulas, so nesting depth costs no recursion."""
     nodes: list[Formula] = []
     keys: list[tuple] = []
     position: dict[tuple, int] = {}
@@ -259,8 +261,8 @@ def subformula_dag(f: Formula) -> tuple[list[Formula], list[tuple]]:
             stack.append((g, True))
             stack.extend((c, False) for c in reversed(kids))
             continue
-        key = (Atom, g.name) if isinstance(g, Atom) else \
-            (type(g), *(done[id(c)] for c in kids))
+        key = (Atom, g.name, None) if isinstance(g, Atom) else \
+            (type(g), *(done[id(c)] for c in kids), *(None,) * (2 - len(kids)))
         if key not in position:
             position[key] = len(nodes)
             nodes.append(g)
@@ -276,4 +278,4 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def modal_free(f: Formula) -> bool:
     """True when f contains no Box or Diamond."""
-    return not any(key[0] in (Box, Diamond) for key in f.program)
+    return not any(cls is Box or cls is Diamond for cls, _, _ in f.program)

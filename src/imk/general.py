@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
+from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or, _children
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
                      World, is_partial_copy, label_masks, relation_masks)
 from .memo import cached
@@ -170,12 +170,6 @@ def as_homogeneous(g: GeneralModel) -> HomogeneousModel:
     return HomogeneousModel(g)
 
 
-def _check_cell(g: GeneralModel, k: str, w: World) -> None:
-    m = g.submodel(k)
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(w)
-
-
 def forces_partial(m: PartialModel, k: str, w: World, f: Formula) -> bool:
     return entails_partial(m, k, w, (), f)
 
@@ -187,35 +181,42 @@ def forces_homogeneous(h: HomogeneousModel, k: str, w: World, f: Formula) -> boo
 def entails_partial(m: PartialModel, k: str, w: World,
                     gamma: Iterable[Formula], f: Formula) -> bool:
     """Entailment runs inside one member, over its own order."""
-    _check_cell(m.general, k, w)
-    return m.kernel.entails((k, w), gamma, f)
+    kernel = m.kernel
+    if (k, w) not in kernel.index:
+        m.general.submodel(k)  # an unknown member raises here
+        raise UnknownWorldError(w)
+    return kernel.entails((k, w), gamma, f)
 
 
 def entails_homogeneous(h: HomogeneousModel, k: str, w: World,
                         gamma: Iterable[Formula], f: Formula) -> bool:
-    _check_cell(h.general, k, w)
-    return h.kernel.entails((k, w), gamma, f)
+    kernel = h.kernel
+    if (k, w) not in kernel.index:
+        h.general.submodel(k)
+        raise UnknownWorldError(w)
+    return kernel.entails((k, w), gamma, f)
 
 
-def _entails_for(m) -> Callable:
-    if isinstance(m, PartialModel):
-        return entails_partial
-    if isinstance(m, HomogeneousModel):
-        return entails_homogeneous
-    raise InvalidModelClassError(
-        f"expected a PartialModel or HomogeneousModel, got {type(m).__name__}")
+def _require_family(m) -> None:
+    if not isinstance(m, (PartialModel, HomogeneousModel)):
+        raise InvalidModelClassError(
+            f"expected a PartialModel or HomogeneousModel, got {type(m).__name__}")
+
+
+def _valid(m, ks: Iterable[str], gamma: Iterable[Formula], f: Formula) -> bool:
+    """gamma entails f at every cell of the members ks, as one mask test."""
+    _require_family(m)
+    index = m.kernel.index
+    cells = sum(1 << index[k, w] for k in ks for w in m.general.submodel(k).frame.worlds)
+    return m.kernel.valid(gamma, f, cells)
 
 
 def valid_at_submodel(m, k: str, gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = list(gamma)
-    ent = _entails_for(m)
-    sm = m.general.submodel(k)
-    return all(ent(m, k, w, gamma, f) for w in sm.frame.worlds)
+    return _valid(m, [k], gamma, f)
 
 
 def valid_in_model(m, gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = list(gamma)
-    return all(valid_at_submodel(m, k, gamma, f) for k in m.general.ids)
+    return _valid(m, m.general.ids, gamma, f)
 
 
 # --- modular MK clauses over a pluggable propositional base -----------------
@@ -251,23 +252,25 @@ def modular_mk_evaluate(family: Mapping[str, object],
     if w not in first:
         raise UnknownWorldError(w)
 
-    memo: dict = {}
-
-    def eval_at(kid: str, point, g: Formula) -> bool:
-        key = (kid, point, g)
-        if key in memo:
-            return memo[key]
-        if isinstance(g, Box):
-            out = all(eval_at(k2, point, g.inner) for a, k2 in succ if a == kid)
-        elif isinstance(g, Diamond):
-            out = any(eval_at(k2, point, g.inner) for a, k2 in succ if a == kid)
-        else:
-            out = base_forces(family[kid], point, g,
-                              lambda p, sub: eval_at(kid, p, sub))
-        memo[key] = out
-        return out
-
-    return eval_at(k, w, f)
+    keys = f.program  # bottom-up over it; the node objects are found top-down
+    nodes, position = [f] * len(keys), {}
+    for i in range(len(keys) - 1, -1, -1):
+        for j, child in zip(keys[i][1:], _children(nodes[i])):
+            nodes[j], position[id(child)] = child, j
+    succs = {kid: [b for a, b in succ if a == kid] for kid in family}
+    memo: dict = {}  # (member, point, program position) -> verdict
+    for i, (cls, a, _) in enumerate(keys):
+        for kid, member in family.items():
+            for point in first:
+                if cls is Box:
+                    out = all(memo[k2, point, a] for k2 in succs[kid])
+                elif cls is Diamond:
+                    out = any(memo[k2, point, a] for k2 in succs[kid])
+                else:
+                    out = base_forces(member, point, nodes[i], lambda p, sub:
+                                      memo[kid, p, position[id(sub)]])
+                memo[kid, point, i] = out
+    return memo[k, w, len(keys) - 1]
 
 
 def intuitionistic_base_forces(model: PropModel, w: World, f: Formula,

@@ -149,8 +149,7 @@ class _LayeredKernel(Kernel):
         self.gap = None if m.level and len(m.relations) == 1 else (
             "the mk modal rule needs a single top-level relation above level 0; "
             f"model has level {m.level}, relations {[n for n, _ in m.relations]}")
-        self.full = (1 << len(index)) - 1
-        self.bad = self.full if self.gap else 0
+        self.bad = (1 << len(index)) - 1 if self.gap else 0
         rel = () if self.gap else m.relations[0][1]
         shifts = [(p, (b,) + p[1:]) for a, b in rel for p in index if p[0] == a]
         for p, q in shifts:
@@ -168,13 +167,12 @@ class _LayeredKernel(Kernel):
         if hit is None or hit[0] is not f:
             keys, exts = self.extensions(f)
             errs: list[int] = []
-            for cls, *args in keys if self.bad else ():
+            for cls, a, b in keys if self.bad else ():
                 if cls is Box or cls is Diamond:  # rows that meet an error
-                    err = self.bad | self._select(Diamond, errs[args[0]])
+                    err = self.bad | self._select(Diamond, errs[a])
                 elif cls is Atom or cls is Bottom:
                     err = 0
                 else:  # B is read where A holds, or for | where A fails
-                    a, b = args
                     err = errs[a] | (~exts[a] if cls is Or else exts[a]) & errs[b]
                     if cls is Implies:  # up rows that meet err
                         err = self.full & ~self._select(Implies, err)

@@ -59,22 +59,21 @@ def world_key(w: World):
 
 
 def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Reflexive-transitive closure of pairs over the given world set."""
-    ws = set(worlds)
-    succ: dict[World, set] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    rel = {(w, w) for w in ws}
-    for a in ws | succ.keys():
-        reach: set = set()
-        stack = list(succ.get(a, ()))
-        while stack:
-            b = stack.pop()
-            if b not in reach:
-                reach.add(b)
-                stack.extend(succ.get(b, ()))
-        rel.update((a, b) for b in reach)
-    return frozenset(rel)
+    """Reflexive-transitive closure of pairs over the given world set:
+    Warshall's algorithm on one bitmask row per world or endpoint."""
+    worlds, pairs = list(worlds), list(pairs)
+    names = list(dict.fromkeys([*worlds, *(x for pair in pairs for x in pair)]))
+    index = {x: i for i, x in enumerate(names)}
+    rows = relation_masks(index, pairs)
+    for k, row in enumerate(rows):  # now every path via points 0..k-1 is in rows
+        bit = 1 << k
+        for i, r in enumerate(rows):
+            if r & bit:
+                rows[i] = r | row
+    for w in worlds:
+        rows[index[w]] |= 1 << index[w]
+    return frozenset((names[i], names[j]) for i, row in enumerate(rows)
+                     for j in points(row))
 
 
 def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
@@ -150,15 +149,9 @@ class Frame:
         reference frame."""
         return {}
 
-    @cached
-    def _above(self) -> dict:
-        out: dict[World, set] = {w: set() for w in self.worlds}
-        for a, b in self.le:
-            out[a].add(b)
-        return {w: frozenset(s) for w, s in out.items()}
-
     def above(self, w: World) -> frozenset:
-        return self._above[w]
+        index, up = self.compiled
+        return frozenset(v for v, j in index.items() if up[index[w]] >> j & 1)
 
     def sorted_worlds(self) -> list:
         return sorted(self.worlds, key=world_key)
@@ -184,8 +177,9 @@ class Kernel:
     def __init__(self, index: Mapping, up: list[int], atoms: Mapping[str, int],
                  box: list[int] | None = None, dia: list[int] | None = None):
         self.index, self.up, self.atoms, self.box, self.dia = index, up, atoms, box, dia
-        # extensions of -> / [] / <> nodes, keyed by the class and the
-        # extensions of the children, so equal subformulas share one entry
+        self.full = (1 << len(up)) - 1  # every point
+        # extensions of -> / [] / <> nodes, keyed by the class and the mask
+        # that _select reads, so equal subformulas share one entry
         self._nodes: dict[tuple, int] = {}
         self._roots: dict[int, tuple[Formula, int]] = {}  # id(f) -> (f, extension)
 
@@ -201,34 +195,37 @@ class Kernel:
         extension of each."""
         keys = f.program
         exts: list[int] = []
-        for cls, *args in keys:
+        append, atom, nodes = exts.append, self.atoms.get, self._nodes
+        for cls, a, b in keys:
             if cls is Atom:
-                ext = self.atoms.get(args[0], 0)
-            elif cls is Bottom:
-                ext = 0
+                append(atom(a, 0))
             elif cls is And:
-                ext = exts[args[0]] & exts[args[1]]
+                append(exts[a] & exts[b])
             elif cls is Or:
-                ext = exts[args[0]] | exts[args[1]]
+                append(exts[a] | exts[b])
+            elif cls is Bottom:
+                append(0)
             else:
-                key = (cls, *(exts[i] for i in args))
-                ext = self._nodes.get(key)
+                key = (cls, exts[a] & ~exts[b] if cls is Implies else exts[a])
+                ext = nodes.get(key)
                 if ext is None:
-                    ext = self._nodes[key] = self._select(*key)
-            exts.append(ext)
+                    ext = nodes[key] = self._select(*key)
+                append(ext)
         return keys, exts
 
-    def _select(self, cls, inner: int, right: int = 0) -> int:
-        """Points whose row meets (diamond) or misses (-> and box) a mask."""
+    def _select(self, cls, mask: int) -> int:
+        """Points whose row misses mask (-> over up, box over box) or meets it
+        (diamond over dia).  For -> the mask is A & ~B, for box and diamond
+        the extension of the inner formula."""
         if cls is Implies:
-            rows, mask, meets = self.up, inner & ~right, False
+            rows, meets = self.up, False
         elif self.box is None:
             raise UnsupportedConnectiveError(
                 f"propositional models have no clause for {cls.__name__}")
         elif cls is Box:
-            rows, mask, meets = self.box, ~inner, False
+            rows, mask, meets = self.box, ~mask, False
         else:
-            rows, mask, meets = self.dia, inner, True
+            rows, meets = self.dia, True
         out = 0
         for i, row in enumerate(rows):
             if bool(row & mask) == meets:
@@ -236,14 +233,25 @@ class Kernel:
         return out
 
     def entails(self, p, gamma: Iterable[Formula], f: Formula) -> bool:
-        """Forcing of f at p when gamma is empty; otherwise every point
-        above p that forces all of gamma forces f."""
-        i = self.index[p]
-        premises = [self.extension(g) for g in gamma]
-        ext = self.extension(f)
+        """Forcing of f at p when gamma is empty: one bit of f's memoised
+        extension.  Otherwise every point above p that forces all of gamma
+        forces f.  An unknown p raises UnknownWorldError."""
+        try:
+            i = self.index[p]
+        except KeyError:
+            raise UnknownWorldError(p) from None
+        premises = [self.extension(g) for g in gamma] if gamma else None
+        hit = self._roots.get(id(f))
+        ext = hit[1] if hit is not None and hit[0] is f else self.extension(f)
         if not premises:
-            return bool(ext >> i & 1)
+            return ext >> i & 1 == 1
         return not self.up[i] & ~ext & reduce(and_, premises)
+
+    def valid(self, gamma: Iterable[Formula], f: Formula, carrier: int = -1) -> bool:
+        """entails at every point of carrier, all points by default, as one
+        mask test: each up row holds its own point and stays in the carrier."""
+        premises = reduce(and_, map(self.extension, gamma), carrier)
+        return not premises & ~self.extension(f) & self.full
 
 
 @dataclass(frozen=True)
@@ -294,14 +302,11 @@ def forces(model: PropModel, w: World, f: Formula) -> bool:
 def entails(model: PropModel, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
     """With empty gamma this is plain forcing; otherwise every later world
     forcing all of gamma must force f."""
-    if w not in model.frame.worlds:
-        raise UnknownWorldError(w)
     return model.kernel.entails(w, gamma, f)
 
 
 def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:
-    gamma = list(gamma)
-    return all(entails(model, w, gamma, f) for w in model.frame.worlds)
+    return model.kernel.valid(gamma, f)
 
 
 def is_partial_copy(candidate: Frame, reference: Frame) -> bool:

@@ -121,8 +121,8 @@ def _atom_names(k: int) -> list[str]:
 def _query_alphabet(formulas, k: int) -> list[str]:
     """Atom names the search valuates: the query's own atoms (sorted, first k),
     padded with fresh p1, p2, ... up to exactly k names."""
-    names = sorted({key[1] for f in formulas for key in f.program
-                    if key[0] is Atom})[:k]
+    names = sorted({a for f in formulas for cls, a, _ in f.program
+                    if cls is Atom})[:k]
     fresh = (name for name in _atom_names(k + len(names)) if name not in names)
     while len(names) < k:
         names.append(next(fresh))

@@ -12,7 +12,7 @@ import random
 from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond,
                  HigherOrderModel, HomogeneousModel, Implies, Not, Or,
                  PartialModel, PropModel, general_model, wrap_prop_model)
-from imk.kripke import Frame, closure
+from imk.kripke import Frame
 
 
 # --- formulas ---------------------------------------------------------------
@@ -55,12 +55,32 @@ def formula_pool(count: int, depth: int, atoms: list[str], seed: int = 0,
 
 # --- models -----------------------------------------------------------------
 
+def naive_closure(worlds, pairs) -> frozenset:
+    """Reflexive-transitive closure by a set-based search from every world
+    and every generator endpoint; reflexive pairs only for the given worlds."""
+    ws = set(worlds)
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    rel = {(w, w) for w in ws}
+    for a in ws | succ.keys():
+        reach: set = set()
+        stack = list(succ.get(a, ()))
+        while stack:
+            b = stack.pop()
+            if b not in reach:
+                reach.add(b)
+                stack.extend(succ.get(b, ()))
+        rel.update((a, b) for b in reach)
+    return frozenset(rel)
+
+
 def random_frame(rng: random.Random, max_worlds: int) -> Frame:
     n = rng.randint(1, max_worlds)
     worlds = [f"w{i}" for i in range(1, n + 1)]
     gens = [(a, b) for a in worlds for b in worlds
             if a != b and rng.random() < 0.4]
-    return Frame(frozenset(worlds), closure(worlds, gens))
+    return Frame(frozenset(worlds), naive_closure(worlds, gens))
 
 
 def random_valuation(rng: random.Random, frame: Frame, atoms: list[str]) -> frozenset:
@@ -411,7 +431,7 @@ def _naive_preorders(n: int) -> list[frozenset]:
     import itertools
     worlds = [f"w{i}" for i in range(1, n + 1)]
     off_diag = [(a, b) for a in worlds for b in worlds if a != b]
-    seen = {closure(worlds, [p for p, keep in zip(off_diag, bits) if keep])
+    seen = {naive_closure(worlds, [p for p, keep in zip(off_diag, bits) if keep])
             for bits in itertools.product((False, True), repeat=len(off_diag))}
     return sorted(seen, key=sorted)
 

@@ -240,6 +240,36 @@ class TestModularClauses:
                                 carrier_of=classical_carrier) == \
                                 classical_k_forces(family, succ, k, f)
 
+    def test_deep_formula_classical_base(self):
+        """~ nested 3,000 deep: no recursion, and no hash of the formula."""
+        f = parse("~" * 3000 + "p")
+        family = {"V1": frozenset(), "V2": frozenset({"p"})}
+        for succ in (set(), {("V1", "V2")}):
+            for k in family:
+                assert modular_mk_evaluate(
+                    family, succ, classical_base_forces, k, CLASSICAL_POINT, f,
+                    carrier_of=classical_carrier) == (k == "V2")
+        assert modular_mk_evaluate(family, {("V1", "V2")}, classical_base_forces,
+                                   "V1", CLASSICAL_POINT, parse("<>" + "~" * 2999 + "p"),
+                                   carrier_of=classical_carrier) is False
+
+    def test_deep_formula_intuitionistic_base(self):
+        """An even run of negations is ~~p: it holds at w, whose later world v
+        forces p, though p itself does not hold at w."""
+        frame = build_frame({"w", "v"}, {("w", "v")})
+        family = {"K1": build_prop_model(frame, {"v": {"p"}}),
+                  "K2": build_prop_model(frame, {})}
+        for depth, want in ((3000, True), (2999, False)):
+            f = parse("~" * depth + "p")
+            assert modular_mk_evaluate(
+                family, set(), intuitionistic_base_forces, "K1", "w", f,
+                carrier_of=lambda m: m.frame.worlds) is want
+        f = parse("[]" + "~" * 3000 + "p")
+        for succ, want in (({("K2", "K1")}, True), ({("K2", "K2")}, False)):
+            assert modular_mk_evaluate(
+                family, succ, intuitionistic_base_forces, "K2", "w", f,
+                carrier_of=lambda m: m.frame.worlds) is want
+
     def test_carrier_mismatch(self):
         family = {
             "K1": build_prop_model(build_frame({"w"}, set()), {}),
