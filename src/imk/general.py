@@ -18,11 +18,12 @@ Homogeneous evaluation is the MK reading, partial evaluation the IK reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or, _children
+from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, is_partial_copy, label_masks, relation_masks)
+                     World, build_frame, is_partial_copy, label_masks,
+                     relation_masks)
 from .memo import cached
 
 __all__ = [
@@ -33,8 +34,7 @@ __all__ = [
     "forces_partial", "forces_homogeneous",
     "entails_partial", "entails_homogeneous",
     "valid_at_submodel", "valid_in_model",
-    "modular_mk_evaluate", "intuitionistic_base_forces",
-    "classical_base_forces", "classical_carrier", "CLASSICAL_POINT",
+    "modular_mk_evaluate", "classical_member", "CLASSICAL_POINT",
 ]
 
 
@@ -139,10 +139,15 @@ class HomogeneousModel:
 
     @cached
     def kernel(self) -> Kernel:
-        """Box and diamond both link (k, w) to (k2, w) when k succ k2."""
-        links = [((k, w), (k2, w)) for k, k2 in self.general.succ
-                 for w in self.frame.worlds]
-        return _cell_kernel(self.general, links, links)
+        return _mk_kernel(self.general)
+
+
+def _mk_kernel(g: GeneralModel) -> Kernel:
+    """Kernel of a family whose members share one world set: box and diamond
+    both link (k, w) to (k2, w) when k succ k2."""
+    worlds = g.submodels[0][1].worlds
+    links = [((k, w), (k2, w)) for k, k2 in g.succ for w in worlds]
+    return _cell_kernel(g, links, links)
 
 
 def _cell_kernel(g: GeneralModel, box: list, dia: list) -> Kernel:
@@ -171,28 +176,28 @@ def as_homogeneous(g: GeneralModel) -> HomogeneousModel:
 
 
 def forces_partial(m: PartialModel, k: str, w: World, f: Formula) -> bool:
-    return entails_partial(m, k, w, (), f)
+    return _entails(m, k, w, (), f)
 
 
 def forces_homogeneous(h: HomogeneousModel, k: str, w: World, f: Formula) -> bool:
-    return entails_homogeneous(h, k, w, (), f)
+    return _entails(h, k, w, (), f)
 
 
 def entails_partial(m: PartialModel, k: str, w: World,
                     gamma: Iterable[Formula], f: Formula) -> bool:
     """Entailment runs inside one member, over its own order."""
-    kernel = m.kernel
-    if (k, w) not in kernel.index:
-        m.general.submodel(k)  # an unknown member raises here
-        raise UnknownWorldError(w)
-    return kernel.entails((k, w), gamma, f)
+    return _entails(m, k, w, gamma, f)
 
 
 def entails_homogeneous(h: HomogeneousModel, k: str, w: World,
                         gamma: Iterable[Formula], f: Formula) -> bool:
-    kernel = h.kernel
+    return _entails(h, k, w, gamma, f)
+
+
+def _entails(m, k: str, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
+    kernel = m.kernel
     if (k, w) not in kernel.index:
-        h.general.submodel(k)
+        m.general.submodel(k)  # an unknown member raises here
         raise UnknownWorldError(w)
     return kernel.entails((k, w), gamma, f)
 
@@ -219,30 +224,33 @@ def valid_in_model(m, gamma: Iterable[Formula], f: Formula) -> bool:
     return _valid(m, m.general.ids, gamma, f)
 
 
-# --- modular MK clauses over a pluggable propositional base -----------------
+# --- the MK clauses over any base of propositional models --------------------
 #
-# The box/diamond clauses above do not care that the members are
-# intuitionistic: any notion of propositional model with a shared carrier of
-# evaluation points works.  base_forces(member, point, formula, rec) must
-# evaluate the non-modal connectives, calling rec(point, subformula) so that
-# nested modalities re-enter the modal layer.
+# The box/diamond clauses above do not care which propositional models the
+# members are: any family over one shared world set works.  Each member keeps
+# its own order, and a classical valuation is the one-point model
+# classical_member builds, whose only up row makes -> material implication.
 
 CLASSICAL_POINT = "pt"
 
 
-def modular_mk_evaluate(family: Mapping[str, object],
+def classical_member(valuation: Iterable[str]) -> PropModel:
+    """A classical valuation (the set of true atoms) as a one-point model."""
+    return PropModel(build_frame({CLASSICAL_POINT}, ()),
+                     frozenset((CLASSICAL_POINT, atom) for atom in valuation))
+
+
+def modular_mk_evaluate(family: Mapping[str, PropModel],
                         succ: Iterable[tuple[str, str]],
-                        base_forces: Callable,
-                        k: str, w, f: Formula, *,
-                        carrier_of: Callable) -> bool:
+                        k: str, w: World, f: Formula) -> bool:
+    """MK forcing of f at (k, w) in a family of members over one world set."""
     if not family:
         raise ModelError("empty family")
-    carriers = {kid: carrier_of(member) for kid, member in family.items()}
-    first = next(iter(carriers.values()))
-    for kid, carrier in carriers.items():
-        if carrier != first:
+    first = next(iter(family.values())).worlds
+    for kid, member in family.items():
+        if member.worlds != first:
             raise CarrierMismatchError(
-                f"member {kid!r} has carrier {set(carrier)!r}, expected {set(first)!r}")
+                f"member {kid!r} has carrier {set(member.worlds)!r}, expected {set(first)!r}")
     succ = frozenset(succ)
     for a, b in succ:
         if a not in family or b not in family:
@@ -251,59 +259,4 @@ def modular_mk_evaluate(family: Mapping[str, object],
         raise UnknownSubmodelError(k)
     if w not in first:
         raise UnknownWorldError(w)
-
-    keys = f.program  # bottom-up over it; the node objects are found top-down
-    nodes, position = [f] * len(keys), {}
-    for i in range(len(keys) - 1, -1, -1):
-        for j, child in zip(keys[i][1:], _children(nodes[i])):
-            nodes[j], position[id(child)] = child, j
-    succs = {kid: [b for a, b in succ if a == kid] for kid in family}
-    memo: dict = {}  # (member, point, program position) -> verdict
-    for i, (cls, a, _) in enumerate(keys):
-        for kid, member in family.items():
-            for point in first:
-                if cls is Box:
-                    out = all(memo[k2, point, a] for k2 in succs[kid])
-                elif cls is Diamond:
-                    out = any(memo[k2, point, a] for k2 in succs[kid])
-                else:
-                    out = base_forces(member, point, nodes[i], lambda p, sub:
-                                      memo[kid, p, position[id(sub)]])
-                memo[kid, point, i] = out
-    return memo[k, w, len(keys) - 1]
-
-
-def intuitionistic_base_forces(model: PropModel, w: World, f: Formula,
-                               rec: Callable) -> bool:
-    """Intuitionistic clauses for the non-modal connectives of one member."""
-    if isinstance(f, Atom):
-        return (w, f.name) in model.val
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return rec(w, f.left) and rec(w, f.right)
-    if isinstance(f, Or):
-        return rec(w, f.left) or rec(w, f.right)
-    if isinstance(f, Implies):
-        return all(rec(v, f.right) for v in model.frame.above(w) if rec(v, f.left))
-    raise TypeError(f"base evaluator got a modal formula: {f!r}")
-
-
-def classical_base_forces(valuation: frozenset, w, f: Formula,
-                          rec: Callable) -> bool:
-    """Truth-table clauses; the member is just a set of true atoms."""
-    if isinstance(f, Atom):
-        return f.name in valuation
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return rec(w, f.left) and rec(w, f.right)
-    if isinstance(f, Or):
-        return rec(w, f.left) or rec(w, f.right)
-    if isinstance(f, Implies):
-        return (not rec(w, f.left)) or rec(w, f.right)
-    raise TypeError(f"base evaluator got a modal formula: {f!r}")
-
-
-def classical_carrier(valuation) -> frozenset:
-    return frozenset({CLASSICAL_POINT})
+    return _mk_kernel(general_model(family, succ)).entails((k, w), (), f)

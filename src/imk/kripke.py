@@ -26,7 +26,7 @@ __all__ = [
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
     "build_frame", "build_prop_model", "closure", "relation_masks", "label_masks",
     "points", "compose", "Kernel", "forces", "entails", "model_valid",
-    "is_partial_copy", "upward_restrict", "world_key",
+    "is_partial_copy", "upward_restrict", "sub_frame", "world_key",
 ]
 
 World = Hashable
@@ -326,6 +326,10 @@ def upward_restrict(frame: Frame, j: World) -> Frame:
     """Subframe on the worlds at or above j, with the restricted order."""
     if j not in frame.worlds:
         raise UnknownWorldError(j)
-    kept = frame.above(j)
-    return Frame(frozenset(kept),
-                 frozenset((a, b) for a, b in frame.le if a in kept and b in kept))
+    return sub_frame(frame, frame.above(j))
+
+
+def sub_frame(frame: Frame, kept: frozenset) -> Frame:
+    """Subframe on the worlds kept, with the restricted order."""
+    return Frame(kept, frozenset((a, b) for a, b in frame.le
+                                 if a in kept and b in kept))

@@ -20,7 +20,7 @@ from .birelational import _RANK, BirelationalModel, classify, forces_ik, forces_
 from .formulas import Atom, Formula
 from .general import (GeneralModel, HomogeneousModel, PartialModel,
                       forces_homogeneous, forces_partial)
-from .kripke import Frame, PropModel, closure, forces
+from .kripke import Frame, PropModel, closure, forces, sub_frame
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
 __all__ = ["SearchBounds", "SearchOutcome", "LOGICS",
@@ -109,11 +109,6 @@ def _is_rooted(frame: Frame) -> bool:
     return any(frame.above(w) == frame.worlds for w in frame.worlds)
 
 
-def _sub_frame(frame: Frame, kept: frozenset) -> Frame:
-    return Frame(kept, frozenset((a, b) for a, b in frame.le
-                                 if a in kept and b in kept))
-
-
 def _atom_names(k: int) -> list[str]:
     return [f"p{i}" for i in range(1, k + 1)]
 
@@ -180,7 +175,7 @@ def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialMod
         for ref in _frames(n):
             if b.rooted and not _is_rooted(ref):
                 continue
-            sub_frames = [_sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
+            sub_frames = [sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
             if b.rooted:
                 sub_frames = [fr for fr in sub_frames if _is_rooted(fr)]
             ref_members, *sub_members = [[PropModel(fr, v) for v in _valuations(fr, atoms)]

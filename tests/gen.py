@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 
 from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond,
-                 HigherOrderModel, HomogeneousModel, Implies, Not, Or,
-                 PartialModel, PropModel, general_model, wrap_prop_model)
+                 GeneralModel, HigherOrderModel, HomogeneousModel, Implies,
+                 Not, Or, PartialModel, PropModel, general_model,
+                 wrap_prop_model)
 from imk.kripke import Frame
 
 
@@ -77,7 +78,11 @@ def naive_closure(worlds, pairs) -> frozenset:
 
 def random_frame(rng: random.Random, max_worlds: int) -> Frame:
     n = rng.randint(1, max_worlds)
-    worlds = [f"w{i}" for i in range(1, n + 1)]
+    return random_order(rng, [f"w{i}" for i in range(1, n + 1)])
+
+
+def random_order(rng: random.Random, worlds: list) -> Frame:
+    """A frame on exactly these worlds, closed from random generators."""
     gens = [(a, b) for a in worlds for b in worlds
             if a != b and rng.random() < 0.4]
     return Frame(frozenset(worlds), naive_closure(worlds, gens))
@@ -135,6 +140,20 @@ def random_homogeneous_model(rng: random.Random, max_submodels: int = 3,
     ids = sorted(members)
     succ = {(a, b) for a in ids for b in ids if rng.random() < 0.4}
     return HomogeneousModel(general_model(members, succ))
+
+
+def random_same_carrier_family(rng: random.Random, max_submodels: int = 3,
+                               max_worlds: int = 3,
+                               atoms: tuple = ("p1", "p2")) -> GeneralModel:
+    """Members on one world set, each member with its own random order."""
+    worlds = [f"w{i}" for i in range(1, rng.randint(1, max_worlds) + 1)]
+    members = {}
+    for i in range(1, rng.randint(1, max_submodels) + 1):
+        frame = random_order(rng, worlds)
+        members[f"K{i}"] = PropModel(frame, random_valuation(rng, frame, list(atoms)))
+    ids = sorted(members)
+    succ = {(a, b) for a in ids for b in ids if rng.random() < 0.4}
+    return general_model(members, succ)
 
 
 def partial_corpus(count: int, seed: int = 11) -> list[PartialModel]:
@@ -287,15 +306,16 @@ def naive_mk_forces(m, w, f) -> bool:
     raise ValueError(f"not a formula: {f!r}")
 
 
-def _naive_family_forces(m, k, w, f, box_to, dia_to) -> bool:
-    """Family clauses at cell (k, w): connectives inside member k, box and
-    diamond over the cells that box_to/dia_to list for (k, w)."""
-    members = dict(m.general.submodels)
+def _naive_family_forces(g, k, w, f, box_to, dia_to) -> bool:
+    """Family clauses at cell (k, w) of the general model g: connectives
+    inside member k, box and diamond over the cells that box_to/dia_to list
+    for (k, w)."""
+    members = dict(g.submodels)
     if isinstance(f, Atom):
         return (w, f.name) in members[k].val
     if isinstance(f, type(BOTTOM)):
         return False
-    rec = lambda k2, w2, g: _naive_family_forces(m, k2, w2, g, box_to, dia_to)
+    rec = lambda k2, w2, sub: _naive_family_forces(g, k2, w2, sub, box_to, dia_to)
     if isinstance(f, And):
         return rec(k, w, f.left) and rec(k, w, f.right)
     if isinstance(f, Or):
@@ -321,14 +341,19 @@ def naive_partial_forces(m, k, w, f) -> bool:
                                     if (w, w2) in ref_le]
     dia_to = lambda members, k, w: [(k2, w) for k2 in alternatives(k)
                                     if w in members[k2].frame.worlds]
-    return _naive_family_forces(m, k, w, f, box_to, dia_to)
+    return _naive_family_forces(m.general, k, w, f, box_to, dia_to)
 
 
 def naive_homogeneous_forces(h, k, w, f) -> bool:
-    """Homogeneous-model clauses transcribed directly: box and diamond look at
-    w itself in every / some alternative member."""
-    same_world = lambda members, k, w: [(b, w) for a, b in h.general.succ if a == k]
-    return _naive_family_forces(h, k, w, f, same_world, same_world)
+    return naive_same_world_forces(h.general, k, w, f)
+
+
+def naive_same_world_forces(g, k, w, f) -> bool:
+    """MK clauses transcribed directly, for any general model whose members
+    share one world set: box and diamond look at w itself in every / some
+    alternative member."""
+    same_world = lambda members, k, w: [(b, w) for a, b in g.succ if a == k]
+    return _naive_family_forces(g, k, w, f, same_world, same_world)
 
 
 def naive_family_entails(forces_fn, m, k, w, gamma, f) -> bool:

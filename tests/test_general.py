@@ -11,13 +11,13 @@ from imk import (HomogeneousModel, as_homogeneous, as_partial,
 from imk.formulas import BOTTOM, Box, subformulas
 from imk.general import (CLASSICAL_POINT, CarrierMismatchError,
                          InvalidModelClassError, UnknownSubmodelError,
-                         classical_base_forces, classical_carrier,
-                         intuitionistic_base_forces)
-from imk.kripke import UnknownWorldError
+                         classical_member)
+from imk.kripke import ModelError, UnknownWorldError
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
                  naive_family_entails, naive_homogeneous_forces,
-                 naive_partial_forces, partial_corpus, random_homogeneous_model)
+                 naive_partial_forces, naive_same_world_forces, partial_corpus,
+                 random_homogeneous_model, random_same_carrier_family)
 
 
 def timeline_family(succ):
@@ -196,19 +196,25 @@ class TestCompileOnce:
         assert len(walks) == 30
 
 
+ONE_WORLD = build_prop_model(build_frame({"w"}, set()), {})
+OTHER_WORLD = build_prop_model(build_frame({"v"}, set()), {})
+
+
 class TestModularClauses:
     def test_classical_diamond(self):
-        family = {"V1": frozenset(), "V2": frozenset({"p"})}
-        assert modular_mk_evaluate(family, {("V1", "V2")}, classical_base_forces,
-                                   "V1", CLASSICAL_POINT, parse("<>p"),
-                                   carrier_of=classical_carrier)
+        family = {"V1": classical_member(()), "V2": classical_member({"p"})}
+        assert modular_mk_evaluate(family, {("V1", "V2")}, "V1", CLASSICAL_POINT,
+                                   parse("<>p"))
 
     def test_classical_empty_succ_box(self):
-        family = {"V1": frozenset(), "V2": frozenset({"p"})}
+        family = {"V1": classical_member(()), "V2": classical_member({"p"})}
         for k in family:
-            assert modular_mk_evaluate(family, set(), classical_base_forces,
-                                       k, CLASSICAL_POINT, parse("[]p"),
-                                       carrier_of=classical_carrier)
+            assert modular_mk_evaluate(family, set(), k, CLASSICAL_POINT, parse("[]p"))
+
+    def test_classical_member_is_one_point(self):
+        m = classical_member({"p", "q"})
+        assert m.worlds == {CLASSICAL_POINT}
+        assert m.atoms(CLASSICAL_POINT) == {"p", "q"}
 
     def test_intuitionistic_base_matches_homogeneous_forcing(self):
         pool = formula_pool(15, 3, ["p1", "p2"], seed=43)
@@ -216,10 +222,25 @@ class TestModularClauses:
             family = dict(h.general.submodels)
             for k, w in h.general.cells():
                 for f in pool:
-                    assert modular_mk_evaluate(
-                        family, h.general.succ, intuitionistic_base_forces,
-                        k, w, f, carrier_of=lambda m: m.frame.worlds) == \
+                    assert modular_mk_evaluate(family, h.general.succ, k, w, f) == \
                         forces_homogeneous(h, k, w, f)
+
+    def test_members_with_different_orders(self):
+        """One world set, a different order in each member: the MK clauses
+        read the same world in the alternatives, -> reads the member's own
+        order.  succ is also passed as a generator, read once."""
+        rng = random.Random(45)
+        pool = formula_pool(20, 3, ["p1", "p2"], seed=45)
+        families = [random_same_carrier_family(rng) for _ in range(40)]
+        orders = {frozenset(m.frame.le for _, m in g.submodels) for g in families}
+        assert any(len(les) > 1 for les in orders)
+        for g in families:
+            family = dict(g.submodels)
+            for k, w in g.cells():
+                for f in pool:
+                    assert modular_mk_evaluate(family, (pair for pair in g.succ),
+                                               k, w, f) == \
+                        naive_same_world_forces(g, k, w, f)
 
     def test_classical_base_matches_classical_k_oracle(self):
         import itertools
@@ -229,29 +250,26 @@ class TestModularClauses:
             ids = [f"K{i}" for i in range(1, m + 1)]
             pairs = [(a, b) for a in ids for b in ids]
             for choice in itertools.product(subsets, repeat=m):
-                family = dict(zip(ids, choice))
+                valuations = dict(zip(ids, choice))
+                family = {k: classical_member(v) for k, v in valuations.items()}
                 for bits in itertools.product((0, 1), repeat=len(pairs)):
                     succ = {p for p, keep in zip(pairs, bits) if keep}
                     for k in ids:
                         for f in pool:
                             assert modular_mk_evaluate(
-                                family, succ, classical_base_forces, k,
-                                CLASSICAL_POINT, f,
-                                carrier_of=classical_carrier) == \
-                                classical_k_forces(family, succ, k, f)
+                                family, succ, k, CLASSICAL_POINT, f) == \
+                                classical_k_forces(valuations, succ, k, f)
 
     def test_deep_formula_classical_base(self):
         """~ nested 3,000 deep: no recursion, and no hash of the formula."""
         f = parse("~" * 3000 + "p")
-        family = {"V1": frozenset(), "V2": frozenset({"p"})}
+        family = {"V1": classical_member(()), "V2": classical_member({"p"})}
         for succ in (set(), {("V1", "V2")}):
             for k in family:
                 assert modular_mk_evaluate(
-                    family, succ, classical_base_forces, k, CLASSICAL_POINT, f,
-                    carrier_of=classical_carrier) == (k == "V2")
-        assert modular_mk_evaluate(family, {("V1", "V2")}, classical_base_forces,
-                                   "V1", CLASSICAL_POINT, parse("<>" + "~" * 2999 + "p"),
-                                   carrier_of=classical_carrier) is False
+                    family, succ, k, CLASSICAL_POINT, f) == (k == "V2")
+        assert modular_mk_evaluate(family, {("V1", "V2")}, "V1", CLASSICAL_POINT,
+                                   parse("<>" + "~" * 2999 + "p")) is False
 
     def test_deep_formula_intuitionistic_base(self):
         """An even run of negations is ~~p: it holds at w, whose later world v
@@ -261,24 +279,26 @@ class TestModularClauses:
                   "K2": build_prop_model(frame, {})}
         for depth, want in ((3000, True), (2999, False)):
             f = parse("~" * depth + "p")
-            assert modular_mk_evaluate(
-                family, set(), intuitionistic_base_forces, "K1", "w", f,
-                carrier_of=lambda m: m.frame.worlds) is want
+            assert modular_mk_evaluate(family, set(), "K1", "w", f) is want
         f = parse("[]" + "~" * 3000 + "p")
         for succ, want in (({("K2", "K1")}, True), ({("K2", "K2")}, False)):
-            assert modular_mk_evaluate(
-                family, succ, intuitionistic_base_forces, "K2", "w", f,
-                carrier_of=lambda m: m.frame.worlds) is want
+            assert modular_mk_evaluate(family, succ, "K2", "w", f) is want
 
-    def test_carrier_mismatch(self):
-        family = {
-            "K1": build_prop_model(build_frame({"w"}, set()), {}),
-            "K2": build_prop_model(build_frame({"w", "v"}, set()), {}),
-        }
-        with pytest.raises(CarrierMismatchError):
-            modular_mk_evaluate(family, set(), intuitionistic_base_forces,
-                                "K1", "w", parse("p"),
-                                carrier_of=lambda m: m.frame.worlds)
+    @pytest.mark.parametrize("family, succ, k, w, error, message", [
+        ({}, set(), "K1", "w", ModelError, "empty family"),
+        ({"K1": ONE_WORLD, "K2": OTHER_WORLD}, set(), "K1", "w", CarrierMismatchError,
+         "member 'K2' has carrier {'v'}, expected {'w'}"),
+        ({"K1": ONE_WORLD}, {("K1", "K9")}, "K1", "w", ModelError,
+         "succ endpoint 'K1' or 'K9' is not a family member"),
+        ({"K1": ONE_WORLD}, set(), "K9", "w", UnknownSubmodelError,
+         "unknown submodel 'K9'"),
+        ({"K1": ONE_WORLD}, set(), "K1", "v", UnknownWorldError, "unknown world 'v'"),
+    ], ids=["empty", "carrier", "succ", "member", "world"])
+    def test_input_errors(self, family, succ, k, w, error, message):
+        with pytest.raises(error) as info:
+            modular_mk_evaluate(family, succ, k, w, parse("p"))
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestInvariants:
