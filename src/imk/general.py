@@ -22,8 +22,7 @@ from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, build_frame, is_partial_copy, label_masks,
-                     relation_masks)
+                     World, build_frame, is_partial_copy, relation_masks)
 from .memo import cached
 
 __all__ = [
@@ -151,14 +150,19 @@ def _mk_kernel(g: GeneralModel) -> Kernel:
 
 
 def _cell_kernel(g: GeneralModel, box: list, dia: list) -> Kernel:
-    """Kernel over the (member, world) cells of g; the order and the
-    valuation stay inside each member."""
-    index = {(k, w): i for i, (k, w) in
-             enumerate((k, w) for k, m in g.submodels for w in m.frame.worlds)}
-    up = relation_masks(index, (((k, a), (k, b)) for k, m in g.submodels
-                                for a, b in m.frame.le))
-    atoms = label_masks(index, (((k, w), atom) for k, m in g.submodels
-                                for w, atom in m.val))
+    """Kernel over the (member, world) cells of g, each member's cells
+    numbered as its frame numbers its worlds, after the cells of the members
+    before it; the order and the valuation stay inside each member."""
+    index: dict = {}
+    up: list[int] = []
+    atoms: dict[str, int] = {}
+    for k, m in g.submodels:
+        offset = len(up)
+        worlds, rows = m.frame.compiled
+        index.update(((k, w), offset + i) for w, i in worlds.items())
+        up += [row << offset for row in rows]
+        for atom, mask in m.atom_masks.items():
+            atoms[atom] = atoms.get(atom, 0) | mask << offset
     return Kernel(index, up, atoms, relation_masks(index, box),
                   relation_masks(index, dia))
 

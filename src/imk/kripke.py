@@ -1,8 +1,9 @@
 """Propositional Kripke models and intuitionistic forcing.
 
-Frames are finite preorders stored with ``le`` already closed under
-reflexivity and transitivity; builders compute the closure.  Valuations are
-hereditary: an atom forced at a world stays forced at every later world.
+Frames are finite preorders.  build_frame closes the generators as one
+bitmask row per world and keeps the rows; the pairs ``le`` are spelled out
+only when read.  Valuations are hereditary: an atom forced at a world stays
+forced at every later world.
 World labels are plain identifiers in files, but any hashable value works
 internally (flattening uses (world, submodel) pairs).
 
@@ -13,7 +14,7 @@ points with bitmask rows, and differ only in the rows they build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -65,15 +66,20 @@ def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
     names = list(dict.fromkeys([*worlds, *(x for pair in pairs for x in pair)]))
     index = {x: i for i, x in enumerate(names)}
     rows = relation_masks(index, pairs)
+    for w in worlds:
+        rows[index[w]] |= 1 << index[w]
+    return frozenset((names[i], names[j]) for i, row in enumerate(_warshall(rows))
+                     for j in points(row))
+
+
+def _warshall(rows: list[int]) -> list[int]:
+    """The rows closed under transitivity, in place."""
     for k, row in enumerate(rows):  # now every path via points 0..k-1 is in rows
         bit = 1 << k
         for i, r in enumerate(rows):
             if r & bit:
                 rows[i] = r | row
-    for w in worlds:
-        rows[index[w]] |= 1 << index[w]
-    return frozenset((names[i], names[j]) for i, row in enumerate(rows)
-                     for j in points(row))
+    return rows
 
 
 def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
@@ -110,26 +116,47 @@ def _point_at(index: Mapping, mask: int):
     return list(index)[(mask & -mask).bit_length() - 1]
 
 
-@dataclass(frozen=True)
 class Frame:
-    worlds: frozenset
-    le: frozenset
+    """A finite preorder: the worlds, and le, the pairs (a, b) with a <= b.
+    Frame(worlds, le) checks the pairs it is given.  build_frame makes a
+    frame from bitmask rows that are closed by construction, and spells le
+    out only when it is read.  Frames are immutable and compare on
+    (worlds, le), whichever way they were made."""
 
-    def __post_init__(self):
-        if not self.worlds:
+    def __init__(self, worlds: frozenset, le: frozenset):
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "le", le)
+        if not worlds:
             raise ModelError("a frame needs at least one world")
-        for a, b in self.le:
-            if a not in self.worlds or b not in self.worlds:
+        for a, b in le:
+            if a not in worlds or b not in worlds:
                 raise ModelError(f"le endpoint {a!r} or {b!r} is not a world")
-        for w in self.worlds:
-            if (w, w) not in self.le:
+        for w in worlds:
+            if (w, w) not in le:
                 raise ModelError(f"le is not reflexive at {w!r}")
         index, up = self.compiled
-        for a, b in self.le:  # transitive: up[b] lies inside up[a]
+        for a, b in le:  # transitive: up[b] lies inside up[a]
             extra = up[index[b]] & ~up[index[a]]
             if extra:
                 d = _point_at(index, extra)
                 raise ModelError(f"le is not transitive: {a!r} {b!r} {d!r}")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self is other or (self.worlds, self.le) == (other.worlds, other.le)
+
+    def __hash__(self):
+        return hash((self.worlds, self.le))
+
+    def __repr__(self):
+        return f"Frame(worlds={self.worlds!r}, le={self.le!r})"
 
     @cached
     def compiled(self) -> tuple[dict, list[int]]:
@@ -140,8 +167,14 @@ class Frame:
 
     @cached
     def down(self) -> list[int]:
-        """For each number, the bitmask of the worlds at or below it."""
-        return relation_masks(self.compiled[0], ((b, a) for a, b in self.le))
+        """For each number, the bitmask of the worlds at or below it: the
+        transpose of the up rows."""
+        up = self.compiled[1]
+        down = [0] * len(up)
+        for i, row in enumerate(up):
+            for j in points(row):
+                down[j] |= 1 << i
+        return down
 
     @cached
     def partial_copy_of(self) -> dict:
@@ -157,14 +190,35 @@ class Frame:
         return sorted(self.worlds, key=world_key)
 
 
+class _RowFrame(Frame):
+    """A frame made from up rows that are closed by construction: nothing
+    checks them, and le is spelled out from them on first read.  Frame
+    itself keeps le as a plain attribute, the fastest to read."""
+
+    def __init__(self, worlds: frozenset, index: dict, up: list[int]):
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "compiled", (index, up))
+
+    @cached
+    def le(self) -> frozenset:
+        index, up = self.compiled
+        names = list(index)
+        return frozenset((a, names[j]) for a, i in index.items() for j in points(up[i]))
+
+
 def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame:
-    """Frame over worlds whose le is the reflexive-transitive closure of the generators."""
+    """Frame over worlds whose le is the reflexive-transitive closure of the
+    generators, kept as bitmask rows over the numbering Frame.compiled uses."""
     ws = frozenset(worlds)
     gens = list(le_generators)
     for a, b in gens:
         if a not in ws or b not in ws:
             raise ModelError(f"le generator ({a!r}, {b!r}) has an endpoint outside the world set")
-    return Frame(ws, closure(ws, gens))
+    if not ws:
+        raise ModelError("a frame needs at least one world")
+    index = {w: i for i, w in enumerate(ws)}
+    rows = [row | 1 << i for i, row in enumerate(relation_masks(index, gens))]
+    return _RowFrame(ws, index, _warshall(rows))
 
 
 class Kernel:
@@ -264,10 +318,23 @@ class PropModel:
             if w not in self.frame.worlds:
                 raise UnknownWorldError(w)
         index, up = self.frame.compiled
+        masks = self.atom_masks
         for w, atom in self.val:
-            missing = up[index[w]] & ~self.atom_masks[atom]
-            if missing:
-                raise HeredityError(w, _point_at(index, missing), atom)
+            if up[index[w]] & ~masks[atom]:
+                raise self._heredity_error()
+
+    def _heredity_error(self) -> HeredityError:
+        """The least violating (world, atom) by world_key and atom name, with
+        its least missing later world, so that the report does not follow
+        set order."""
+        index, up = self.frame.compiled
+        masks, names = self.atom_masks, list(index)
+        low, atom = min(((w, atom) for w, atom in self.val
+                         if up[index[w]] & ~masks[atom]),
+                        key=lambda pair: (world_key(pair[0]), pair[1]))
+        missing = up[index[low]] & ~masks[atom]
+        return HeredityError(low, min((names[j] for j in points(missing)), key=world_key),
+                             atom)
 
     @cached
     def atom_masks(self) -> dict[str, int]:

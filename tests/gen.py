@@ -81,11 +81,14 @@ def random_frame(rng: random.Random, max_worlds: int) -> Frame:
     return random_order(rng, [f"w{i}" for i in range(1, n + 1)])
 
 
+def random_generators(rng: random.Random, worlds: list) -> list:
+    """Each ordered pair of distinct worlds with probability 0.4."""
+    return [(a, b) for a in worlds for b in worlds if a != b and rng.random() < 0.4]
+
+
 def random_order(rng: random.Random, worlds: list) -> Frame:
     """A frame on exactly these worlds, closed from random generators."""
-    gens = [(a, b) for a in worlds for b in worlds
-            if a != b and rng.random() < 0.4]
-    return Frame(frozenset(worlds), naive_closure(worlds, gens))
+    return Frame(frozenset(worlds), naive_closure(worlds, random_generators(rng, worlds)))
 
 
 def random_valuation(rng: random.Random, frame: Frame, atoms: list[str]) -> frozenset:

@@ -391,6 +391,61 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "~p"
 
 
+class TestHeredityReport:
+    """The heredity error names the least violating world, atom and later
+    world, so its text does not follow the hash seed."""
+    TEXT = "model K\nworlds a b c d\nle a b\nle a c\nle a d\nval a : p q\nend\n"
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_stderr_does_not_depend_on_the_hash_seed(self, seed, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        path = tmp_path / "hered.km"
+        path.write_text(self.TEXT)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "imk.cli", "check", "--model", str(path), "--formula", "p"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: heredity violated: atom 'p' holds at 'a' "
+                               "but not at later world 'b'\n")
+
+
+class TestRowsStayRows:
+    """Queries that read only the up rows and their transpose leave le
+    unspelled on the loaded frame."""
+
+    @pytest.mark.parametrize("argv,r", [
+        (["check", "--formula", "p | ~p", "--logic", "prop"], False),
+        (["check", "--formula", "[]p -> <>p", "--logic", "ik"], True),
+        (["classify"], True),
+        (["frame-check", "--json"], True),
+    ])
+    def test_le_is_never_spelled(self, argv, r, tmp_path, monkeypatch, capsys):
+        import imk.modelfile
+        built, original = [], imk.modelfile.build_frame
+
+        def build_frame(worlds, gens):
+            built.append(original(worlds, gens))
+            return built[-1]
+
+        monkeypatch.setattr(imk.modelfile, "build_frame", build_frame)
+        worlds = [f"w{i}" for i in range(60)]
+        lines = ["model C", "worlds " + " ".join(worlds)]
+        lines += [f"le {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"r {w} {w}" for w in worlds] if r else []
+        lines += [f"val {w} : p" for w in worlds[30:]]
+        path = tmp_path / "chain.km"
+        path.write_text("\n".join(lines + ["end", ""]))
+        assert main(argv + ["--model", str(path)]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == 1 and "compiled" in built[0].__dict__
+        assert "le" not in built[0].__dict__
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["countermodel", "--formula", "p", "--logic", "nope"]) == 1

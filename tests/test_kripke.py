@@ -1,12 +1,16 @@
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from imk import (BOTTOM, build_frame, build_prop_model, entails, forces,
-                 is_partial_copy, model_valid, parse, upward_restrict,
-                 HeredityError, ModelError, UnknownWorldError)
-from imk.kripke import Frame, PropModel, UnsupportedConnectiveError
+                 general_model, is_partial_copy, model_valid, parse,
+                 upward_restrict, validate_homogeneous, HeredityError,
+                 ModelError, UnknownWorldError)
+from imk.kripke import Frame, PropModel, UnsupportedConnectiveError, closure
 from imk.search import SearchBounds, enumerate_models
 
-from gen import formula_pool, naive_forces
+from gen import formula_pool, naive_closure, naive_forces, random_generators
 
 
 @pytest.fixture
@@ -58,6 +62,52 @@ class TestBuildFrame:
             build_prop_model(fr, {"w0": {"p"}})
 
 
+class TestRowBuiltFrames:
+    """build_frame keeps the closed rows and spells le out only when read;
+    Frame(worlds, le) starts from the pairs.  Both must be one frame."""
+
+    @pytest.fixture
+    def generator_sets(self):
+        rng = random.Random(29)
+        out = []
+        for _ in range(150):
+            worlds = [f"w{i}" for i in range(1, rng.randint(1, 6) + 1)]
+            out.append((worlds, random_generators(rng, worlds)))
+        return out
+
+    def test_equal_to_the_pair_built_frame(self, generator_sets):
+        for worlds, gens in generator_sets:
+            rows = build_frame(worlds, gens)
+            frame = Frame(frozenset(worlds), closure(worlds, gens))
+            assert rows.compiled == frame.compiled
+            assert rows.down == frame.down
+            for w in worlds:
+                assert rows.above(w) == frame.above(w)
+            assert "le" not in rows.__dict__  # none of the above spelled it
+            assert rows == frame and frame == rows
+            assert hash(rows) == hash(frame)
+            assert rows.le == frame.le == naive_closure(worlds, gens)
+
+    def test_down_is_the_converse_of_le(self, generator_sets):
+        for worlds, gens in generator_sets:
+            frame = build_frame(worlds, gens)
+            index, _ = frame.compiled
+            assert {(a, b) for a in worlds for b in worlds
+                    if frame.down[index[b]] >> index[a] & 1} == frame.le
+
+    def test_homogeneous_family_mixes_both_kinds(self, chain):
+        copy = Frame(chain.worlds, frozenset(chain.le))
+        g = general_model({"K1": build_prop_model(chain, {}),
+                           "K2": build_prop_model(copy, {"e": {"p"}})}, {("K1", "K2")})
+        assert validate_homogeneous(g)
+
+    def test_frames_are_immutable(self, chain):
+        with pytest.raises(FrozenInstanceError):
+            chain.worlds = frozenset()
+        with pytest.raises(FrozenInstanceError):
+            del chain.le
+
+
 class TestBuildPropModel:
     def test_growing_valuation_ok(self):
         fr = build_frame({"w", "w2"}, {("w", "w2")})
@@ -68,6 +118,14 @@ class TestBuildPropModel:
         with pytest.raises(HeredityError) as err:
             build_prop_model(fr, {"w": {"p"}, "w2": set()})
         assert err.value.witness == ("w", "w2", "p")
+
+    def test_heredity_witness_is_the_least_by_name(self):
+        # every atom of a fails at every later world: the report names the
+        # least of each, whatever the set order
+        fr = build_frame("abcd", {("a", "b"), ("a", "c"), ("a", "d")})
+        with pytest.raises(HeredityError) as err:
+            build_prop_model(fr, {"a": {"q", "p"}})
+        assert err.value.witness == ("a", "b", "p")
 
     def test_timeline_member(self, chain):
         build_prop_model(chain, {"m": {"p"}, "a": {"p"}, "e": {"p", "q"}})

@@ -1,11 +1,18 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import imk.cli as cli
 from imk import build_frame, build_prop_model, general_model, lift
 from imk.general import HomogeneousModel
 from imk.flatten import flatten
 from imk.modelfile import (ModelFileError, dump_birelational, dump_general,
                            dump_higher, dump_prop_model, loads)
 from imk.search import SearchBounds, enumerate_models
+
+from test_properties import birelational_models, partial_models, prop_models
 
 BIREL = """\
 # three-world model
@@ -149,3 +156,72 @@ class TestFlatWorldNames:
         assert "m__K" in text and "e__K1" in text
         reparsed = loads(text).as_birelational()
         assert len(reparsed.frame.worlds) == 6
+
+
+# Words a corrupted model file may carry: every keyword, ids good and bad.
+TOKENS = ("model", "nmodel", "worlds", "le", "r", "val", ":", "end", "succ",
+          "reference", "rel", "level", "0", "1", "K", "K1", "w1", "w9", "W", "#", "")
+
+
+def _model_text(m) -> str:
+    if hasattr(m, "r"):
+        return dump_birelational(m)
+    if hasattr(m, "general"):
+        return dump_general(m.general, m.reference)
+    return dump_prop_model(m)
+
+
+@st.composite
+def model_texts(draw):
+    """The file of a small prop, birelational or family model, with up to
+    three lines dropped, repeated, or with one word replaced or added."""
+    model = draw(st.one_of(prop_models(4), birelational_models(4), partial_models()))
+    lines = _model_text(model).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "repeat", "word")))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            words = lines[i].split(" ")
+            j = draw(st.integers(0, len(words)))
+            words[j:j + 1] = [draw(st.sampled_from(TOKENS))]
+            lines[i] = " ".join(words)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.km"
+
+
+class TestLoaderFuzz:
+    @given(prop_models(4))
+    def test_prop_round_trip(self, m):
+        assert loads(dump_prop_model(m)).as_prop_model() == m
+
+    @given(birelational_models(4))
+    def test_birelational_round_trip(self, m):
+        assert loads(dump_birelational(m)).as_birelational() == m
+
+    @given(partial_models())
+    def test_family_round_trip(self, m):
+        doc = loads(dump_general(m.general, m.reference))
+        assert doc.as_general() == m.general and doc.reference == m.reference
+
+    @given(model_texts(), st.sampled_from(["p", "p | ~p", "[]p -> <>q"]),
+           st.sampled_from([[], ["--logic", "prop"], ["--logic", "ik"],
+                            ["--logic", "mk"], ["--logic", "homogeneous"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_check_answers_or_rejects(self, fuzz_path, text, formula, logic):
+        """Generated or corrupted text: an answer (0) or an input error (1),
+        never an internal error (2)."""
+        fuzz_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["check", "--model", str(fuzz_path), "--formula", formula] + logic)
+        assert rc in (0, 1), err.getvalue()
