@@ -47,8 +47,10 @@ class BirelationalModel:
     val: frozenset  # pairs (world, atom), hereditary over frame.le
 
     def __post_init__(self):
+        worlds = self.frame.worlds
         for a, b in self.r:
-            if a not in self.frame.worlds or b not in self.frame.worlds:
+            if a not in worlds or b not in worlds:  # report the least bad pair
+                a, b = min(p for p in self.r if p[0] not in worlds or p[1] not in worlds)
                 raise ModelError(f"r endpoint {a!r} or {b!r} is not a world")
         self.prop  # the propositional validation (heredity, known worlds)
 

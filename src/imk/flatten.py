@@ -21,7 +21,7 @@ from .general import (GeneralModel, HomogeneousModel, InvalidModelClassError,
                       PartialModel, as_homogeneous, as_partial,
                       entails_homogeneous, entails_partial,
                       validate_homogeneous, validate_partial)
-from .kripke import Frame
+from .kripke import _numbering, _row_frame, points
 
 __all__ = ["FlatWorld", "Disagreement", "EquivalenceReport",
            "flatten", "verify_flatten_class", "equivalence_report"]
@@ -36,15 +36,20 @@ def flatten(g: GeneralModel) -> BirelationalModel:
     """The single birelational model carrying every (world, member) pair."""
     worlds = frozenset(FlatWorld(w, k) for k, m in g.submodels
                        for w in m.frame.worlds)
-    le = frozenset((FlatWorld(a, k), FlatWorld(b, k))
-                   for k, m in g.submodels for a, b in m.frame.le)
+    index = _numbering(worlds)  # by world, then member
+    up = [0] * len(index)
+    for k, m in g.submodels:  # each member's rows, renumbered
+        names, rows = m.frame.compiled
+        at = [index[FlatWorld(w, k)] for w in names]
+        for i, row in enumerate(rows):
+            up[at[i]] = sum(1 << at[j] for j in points(row))
     r = frozenset((FlatWorld(w, a), FlatWorld(w, b))
                   for a, b in g.succ
                   for w in g.submodel(a).frame.worlds
                   if w in g.submodel(b).frame.worlds)
     val = frozenset((FlatWorld(w, k), atom)
                     for k, m in g.submodels for w, atom in m.val)
-    return BirelationalModel(Frame(worlds, le), r, val)
+    return BirelationalModel(_row_frame(worlds, index, up), r, val)
 
 
 def verify_flatten_class(g: GeneralModel) -> list[ConditionReport]:

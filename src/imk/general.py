@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, build_frame, is_partial_copy, relation_masks)
+                     World, build_frame, is_partial_copy)
 from .memo import cached
 
 __all__ = [
@@ -62,7 +62,8 @@ class GeneralModel:
         if len(ids) != len(self.submodels):
             raise ModelError("duplicate submodel id")
         for a, b in self.succ:
-            if a not in ids or b not in ids:
+            if a not in ids or b not in ids:  # report the least bad pair
+                a, b = min(p for p in self.succ if p[0] not in ids or p[1] not in ids)
                 raise ModelError(f"succ endpoint {a!r} or {b!r} is not a declared submodel")
 
     @property
@@ -94,8 +95,8 @@ def validate_partial(g: GeneralModel) -> str | None:
 
 
 def validate_homogeneous(g: GeneralModel) -> bool:
-    frames = {m.frame for _, m in g.submodels}
-    return len(frames) == 1
+    first = g.submodels[0][1].frame
+    return all(m.frame == first for _, m in g.submodels)
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,7 @@ class PartialModel:
     def kernel(self) -> Kernel:
         """Box links (k, w) to every (k2, w2) with k succ k2 and w <= w2 in
         the reference order; diamond links (k, w) to (k2, w)."""
-        g = self.general
-        worlds = {k: m.frame.worlds for k, m in g.submodels}
-        ref_le = g.submodel(self.reference).frame.le
-        box = [((k, w), (k2, w2)) for k, k2 in g.succ for w, w2 in ref_le
-               if w in worlds[k] and w2 in worlds[k2]]
-        dia = [((k, w), (k2, w)) for k, k2 in g.succ for w in worlds[k]
-               if w in worlds[k2]]
-        return _cell_kernel(g, box, dia)
+        return _cell_kernel(self.general, self.general.submodel(self.reference).frame)
 
 
 @dataclass(frozen=True)
@@ -138,33 +132,36 @@ class HomogeneousModel:
 
     @cached
     def kernel(self) -> Kernel:
-        return _mk_kernel(self.general)
+        return _cell_kernel(self.general)
 
 
-def _mk_kernel(g: GeneralModel) -> Kernel:
-    """Kernel of a family whose members share one world set: box and diamond
-    both link (k, w) to (k2, w) when k succ k2."""
-    worlds = g.submodels[0][1].worlds
-    links = [((k, w), (k2, w)) for k, k2 in g.succ for w in worlds]
-    return _cell_kernel(g, links, links)
-
-
-def _cell_kernel(g: GeneralModel, box: list, dia: list) -> Kernel:
-    """Kernel over the (member, world) cells of g, each member's cells
-    numbered as its frame numbers its worlds, after the cells of the members
-    before it; the order and the valuation stay inside each member."""
-    index: dict = {}
+def _cell_kernel(g: GeneralModel, reference: Frame | None = None) -> Kernel:
+    """Kernel over the (member, world) cells of g, numbered in g.cells()
+    order; the order and the valuation stay inside each member.  Diamond
+    links (k, w) to (k2, w) when k succ k2.  Box reads the same links, or
+    with a reference frame the cells of k2 at or above w in its order."""
+    cells: dict = {}
     up: list[int] = []
     atoms: dict[str, int] = {}
+    start = {}  # member -> its first cell
     for k, m in g.submodels:
-        offset = len(up)
+        start[k] = offset = len(up)
         worlds, rows = m.frame.compiled
-        index.update(((k, w), offset + i) for w, i in worlds.items())
+        cells.update({(k, w): offset + i for w, i in worlds.items()})
         up += [row << offset for row in rows]
         for atom, mask in m.atom_masks.items():
             atoms[atom] = atoms.get(atom, 0) | mask << offset
-    return Kernel(index, up, atoms, relation_masks(index, box),
-                  relation_masks(index, dia))
+    box, dia = [0] * len(up), [0] * len(up)
+    for k, k2 in g.succ:
+        there, here, offset = g.submodel(k2).frame.compiled[0], start[k], start[k2]
+        for w, i in g.submodel(k).frame.compiled[0].items():
+            j = there.get(w)
+            if j is not None:
+                dia[here + i] |= 1 << offset + j
+            if reference:  # k2 is upward closed and carries the reference order
+                box[here + i] |= up[offset + j] if j is not None else \
+                    sum(1 << offset + there[v] for v in reference.above(w) if v in there)
+    return Kernel(cells, up, atoms, box if reference else dia, dia)
 
 
 def as_partial(g: GeneralModel, reference: str | None = None) -> PartialModel:
@@ -199,22 +196,18 @@ def entails_homogeneous(h: HomogeneousModel, k: str, w: World,
 
 
 def _entails(m, k: str, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
-    kernel = m.kernel
-    if (k, w) not in kernel.index:
+    try:
+        return m.kernel.entails((k, w), gamma, f)
+    except UnknownWorldError:
         m.general.submodel(k)  # an unknown member raises here
-        raise UnknownWorldError(w)
-    return kernel.entails((k, w), gamma, f)
-
-
-def _require_family(m) -> None:
-    if not isinstance(m, (PartialModel, HomogeneousModel)):
-        raise InvalidModelClassError(
-            f"expected a PartialModel or HomogeneousModel, got {type(m).__name__}")
+        raise UnknownWorldError(w) from None
 
 
 def _valid(m, ks: Iterable[str], gamma: Iterable[Formula], f: Formula) -> bool:
     """gamma entails f at every cell of the members ks, as one mask test."""
-    _require_family(m)
+    if not isinstance(m, (PartialModel, HomogeneousModel)):
+        raise InvalidModelClassError(
+            f"expected a PartialModel or HomogeneousModel, got {type(m).__name__}")
     index = m.kernel.index
     cells = sum(1 << index[k, w] for k in ks for w in m.general.submodel(k).frame.worlds)
     return m.kernel.valid(gamma, f, cells)
@@ -250,17 +243,19 @@ def modular_mk_evaluate(family: Mapping[str, PropModel],
     """MK forcing of f at (k, w) in a family of members over one world set."""
     if not family:
         raise ModelError("empty family")
-    first = next(iter(family.values())).worlds
+    first = next(iter(family.values())).frame
     for kid, member in family.items():
-        if member.worlds != first:
-            raise CarrierMismatchError(
-                f"member {kid!r} has carrier {set(member.worlds)!r}, expected {set(first)!r}")
+        if member.worlds != first.worlds:
+            carrier = lambda m: "{" + ", ".join(map(repr, m.sorted_worlds())) + "}"
+            raise CarrierMismatchError(f"member {kid!r} has carrier {carrier(member.frame)}, "
+                                       f"expected {carrier(first)}")
     succ = frozenset(succ)
     for a, b in succ:
-        if a not in family or b not in family:
+        if a not in family or b not in family:  # report the least bad pair
+            a, b = min(p for p in succ if p[0] not in family or p[1] not in family)
             raise ModelError(f"succ endpoint {a!r} or {b!r} is not a family member")
     if k not in family:
         raise UnknownSubmodelError(k)
-    if w not in first:
+    if w not in first.worlds:
         raise UnknownWorldError(w)
-    return _mk_kernel(general_model(family, succ)).entails((k, w), (), f)
+    return _cell_kernel(general_model(family, succ)).entails((k, w), (), f)

@@ -73,7 +73,8 @@ class HigherOrderModel:
                     f"object {name!r} has level {child.level}, expected {self.level - 1}")
         for rel_name, pairs in self.relations:
             for a, b in pairs:
-                if a not in names or b not in names:
+                if a not in names or b not in names:  # report the least bad pair
+                    a, b = min(p for p in pairs if p[0] not in names or p[1] not in names)
                     raise ModelError(
                         f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object")
         if self.level > 0 and self.val:

@@ -1,11 +1,11 @@
 """Propositional Kripke models and intuitionistic forcing.
 
-Frames are finite preorders.  build_frame closes the generators as one
-bitmask row per world and keeps the rows; the pairs ``le`` are spelled out
-only when read.  Valuations are hereditary: an atom forced at a world stays
+Frames are finite preorders, kept as one bitmask row per world, with the
+worlds numbered in world_key order; the pairs ``le`` are spelled out only
+when read.  Valuations are hereditary: an atom forced at a world stays
 forced at every later world.
-World labels are plain identifiers in files, but any hashable value works
-internally (flattening uses (world, submodel) pairs).
+World labels are plain identifiers in files; internally any hashable value
+that sorts by world_key works (flattening uses (world, submodel) pairs).
 
 ``Kernel`` is the one forcing evaluator of the package: propositional, IK,
 MK, partial and homogeneous forcing each compile a model into numbered
@@ -111,35 +111,40 @@ def compose(x: list[int], y: list[int]) -> list[int]:
     return [reduce(or_, (y[j] for j in points(row)), 0) for row in x]
 
 
-def _point_at(index: Mapping, mask: int):
-    """The point behind the lowest set bit of a nonzero mask."""
-    return list(index)[(mask & -mask).bit_length() - 1]
+def _numbering(worlds: Iterable[World]) -> dict:
+    """Each world's number: its place in world_key order."""
+    return {w: i for i, w in enumerate(sorted(worlds, key=world_key))}
 
 
 class Frame:
-    """A finite preorder: the worlds, and le, the pairs (a, b) with a <= b.
-    Frame(worlds, le) checks the pairs it is given.  build_frame makes a
-    frame from bitmask rows that are closed by construction, and spells le
-    out only when it is read.  Frames are immutable and compare on
-    (worlds, le), whichever way they were made."""
+    """A finite preorder.  compiled is (index, up): each world's number, its
+    place in world_key order, and for each number the bitmask of the worlds
+    at or above it.  Frame(worlds, le) checks the pairs (a, b) with a <= b it
+    is given; build_frame, sub_frame and flatten start from closed rows and
+    spell le out on first read.  Frames are immutable and compare on
+    (worlds, up)."""
 
     def __init__(self, worlds: frozenset, le: frozenset):
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "le", le)
         if not worlds:
             raise ModelError("a frame needs at least one world")
         for a, b in le:
-            if a not in worlds or b not in worlds:
+            if a not in worlds or b not in worlds:  # report the least bad pair
+                a, b = min(p for p in le if p[0] not in worlds or p[1] not in worlds)
                 raise ModelError(f"le endpoint {a!r} or {b!r} is not a world")
-        for w in worlds:
-            if (w, w) not in le:
-                raise ModelError(f"le is not reflexive at {w!r}")
-        index, up = self.compiled
-        for a, b in le:  # transitive: up[b] lies inside up[a]
-            extra = up[index[b]] & ~up[index[a]]
-            if extra:
-                d = _point_at(index, extra)
-                raise ModelError(f"le is not transitive: {a!r} {b!r} {d!r}")
+        index = _numbering(worlds)
+        up, names = relation_masks(index, le), list(index)
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise ModelError(f"le is not reflexive at {names[i]!r}")
+        for i, row in enumerate(up):  # transitive: up[j] lies inside up[i]
+            for j in points(row):
+                extra = up[j] & ~row
+                if extra:
+                    d = names[next(points(extra))]
+                    raise ModelError(f"le is not transitive: {names[i]!r} {names[j]!r} {d!r}")
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "compiled", (index, tuple(up)))
+        object.__setattr__(self, "le", le)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -150,20 +155,18 @@ class Frame:
     def __eq__(self, other):
         if not isinstance(other, Frame):
             return NotImplemented
-        return self is other or (self.worlds, self.le) == (other.worlds, other.le)
+        return (self.worlds, self.compiled[1]) == (other.worlds, other.compiled[1])
 
     def __hash__(self):
-        return hash((self.worlds, self.le))
+        return hash((self.worlds, self.compiled[1]))
 
     def __repr__(self):
         return f"Frame(worlds={self.worlds!r}, le={self.le!r})"
 
     @cached
-    def compiled(self) -> tuple[dict, list[int]]:
-        """(index, up): a number for each world, and for each number the
-        bitmask of the worlds at or above it."""
-        index = {w: i for i, w in enumerate(self.worlds)}
-        return index, relation_masks(index, self.le)
+    def le(self) -> frozenset:
+        names, up = list(self.compiled[0]), self.compiled[1]
+        return frozenset((a, names[j]) for i, a in enumerate(names) for j in points(up[i]))
 
     @cached
     def down(self) -> list[int]:
@@ -187,28 +190,20 @@ class Frame:
         return frozenset(v for v, j in index.items() if up[index[w]] >> j & 1)
 
     def sorted_worlds(self) -> list:
-        return sorted(self.worlds, key=world_key)
+        return list(self.compiled[0])
 
 
-class _RowFrame(Frame):
-    """A frame made from up rows that are closed by construction: nothing
-    checks them, and le is spelled out from them on first read.  Frame
-    itself keeps le as a plain attribute, the fastest to read."""
-
-    def __init__(self, worlds: frozenset, index: dict, up: list[int]):
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "compiled", (index, up))
-
-    @cached
-    def le(self) -> frozenset:
-        index, up = self.compiled
-        names = list(index)
-        return frozenset((a, names[j]) for a, i in index.items() for j in points(up[i]))
+def _row_frame(worlds: frozenset, index: dict, up: list[int]) -> Frame:
+    """A frame on closed rows over index, a numbering in world_key order."""
+    frame = object.__new__(Frame)
+    object.__setattr__(frame, "worlds", worlds)
+    object.__setattr__(frame, "compiled", (index, tuple(up)))
+    return frame
 
 
 def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame:
     """Frame over worlds whose le is the reflexive-transitive closure of the
-    generators, kept as bitmask rows over the numbering Frame.compiled uses."""
+    generators, closed as bitmask rows."""
     ws = frozenset(worlds)
     gens = list(le_generators)
     for a, b in gens:
@@ -216,9 +211,9 @@ def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame
             raise ModelError(f"le generator ({a!r}, {b!r}) has an endpoint outside the world set")
     if not ws:
         raise ModelError("a frame needs at least one world")
-    index = {w: i for i, w in enumerate(ws)}
+    index = _numbering(ws)
     rows = [row | 1 << i for i, row in enumerate(relation_masks(index, gens))]
-    return _RowFrame(ws, index, _warshall(rows))
+    return _row_frame(ws, index, _warshall(rows))
 
 
 class Kernel:
@@ -314,27 +309,18 @@ class PropModel:
     val: frozenset  # pairs (world, atom)
 
     def __post_init__(self):
+        worlds = self.frame.worlds
         for w, _ in self.val:
-            if w not in self.frame.worlds:
-                raise UnknownWorldError(w)
+            if w not in worlds:  # report the least unknown world
+                raise UnknownWorldError(min((v for v, _ in self.val if v not in worlds),
+                                            key=world_key))
         index, up = self.frame.compiled
         masks = self.atom_masks
         for w, atom in self.val:
-            if up[index[w]] & ~masks[atom]:
-                raise self._heredity_error()
-
-    def _heredity_error(self) -> HeredityError:
-        """The least violating (world, atom) by world_key and atom name, with
-        its least missing later world, so that the report does not follow
-        set order."""
-        index, up = self.frame.compiled
-        masks, names = self.atom_masks, list(index)
-        low, atom = min(((w, atom) for w, atom in self.val
-                         if up[index[w]] & ~masks[atom]),
-                        key=lambda pair: (world_key(pair[0]), pair[1]))
-        missing = up[index[low]] & ~masks[atom]
-        return HeredityError(low, min((names[j] for j in points(missing)), key=world_key),
-                             atom)
+            if up[index[w]] & ~masks[atom]:  # the least (world, atom), its least missing world
+                low, atom = min((index[v], a) for v, a in self.val if up[index[v]] & ~masks[a])
+                names = list(index)
+                raise HeredityError(names[low], names[next(points(up[low] & ~masks[atom]))], atom)
 
     @cached
     def atom_masks(self) -> dict[str, int]:
@@ -378,14 +364,18 @@ def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:
 
 def is_partial_copy(candidate: Frame, reference: Frame) -> bool:
     """True when candidate repeats part of reference: a subset of its worlds,
-    closed upward under the reference order, carrying the restricted order;
-    so its order is exactly the reference pairs that start at its worlds.
+    closed upward under the reference order, carrying the restricted order.
     The verdict is kept on the candidate."""
     known = candidate.partial_copy_of
     verdict = known.get(reference)
     if verdict is None:
-        verdict = known[reference] = candidate.worlds <= reference.worlds and \
-            candidate.le == {(a, b) for a, b in reference.le if a in candidate.worlds}
+        verdict = candidate == reference
+        if not verdict and candidate.worlds <= reference.worlds:
+            index, up = reference.compiled
+            kept = sum(1 << index[w] for w in candidate.worlds)
+            verdict = all(not up[i] & ~kept for i in points(kept)) and \
+                sub_frame(reference, candidate.worlds) == candidate
+        known[reference] = verdict
     return verdict
 
 
@@ -398,5 +388,8 @@ def upward_restrict(frame: Frame, j: World) -> Frame:
 
 def sub_frame(frame: Frame, kept: frozenset) -> Frame:
     """Subframe on the worlds kept, with the restricted order."""
-    return Frame(kept, frozenset((a, b) for a, b in frame.le
-                                 if a in kept and b in kept))
+    if not kept or not kept <= frame.worlds:  # Frame names what is wrong
+        return Frame(kept, frozenset((w, w) for w in kept & frame.worlds))
+    index = {w: i for i, w in enumerate(w for w in frame.compiled[0] if w in kept)}
+    rows = [sum(1 << index[v] for v in frame.above(w) if v in index) for w in index]
+    return _row_frame(frozenset(kept), index, rows)

@@ -86,7 +86,7 @@ def _up_sets(frame: Frame, nonempty: bool = False) -> list[frozenset]:
     for size in range(0 if not nonempty else 1, len(worlds) + 1):
         for combo in itertools.combinations(worlds, size):
             s = frozenset(combo)
-            if all(b in s for a, b in frame.le if a in s):
+            if all(frame.above(w) <= s for w in s):
                 out.append(s)
     return out
 

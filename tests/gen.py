@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond,
+from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond, FlatWorld,
                  GeneralModel, HigherOrderModel, HomogeneousModel, Implies,
                  Not, Or, PartialModel, PropModel, general_model,
                  wrap_prop_model)
@@ -167,6 +167,46 @@ def partial_corpus(count: int, seed: int = 11) -> list[PartialModel]:
 def homogeneous_corpus(count: int, seed: int = 13) -> list[HomogeneousModel]:
     rng = random.Random(seed)
     return [random_homogeneous_model(rng) for _ in range(count)]
+
+
+# --- pair definitions of the row paths ---------------------------------------
+#
+# Frames, families and flattening run on bitmask rows; these are the older
+# definitions on sets of pairs, kept as oracles.
+
+def pair_partial_copy(candidate: Frame, reference: Frame) -> bool:
+    """candidate repeats part of reference: its order is exactly the
+    reference pairs that start at its worlds."""
+    return candidate.worlds <= reference.worlds and \
+        candidate.le == {(a, b) for a, b in reference.le if a in candidate.worlds}
+
+
+def pair_sub_frame(frame: Frame, kept) -> Frame:
+    return Frame(frozenset(kept), frozenset((a, b) for a, b in frame.le
+                                            if a in kept and b in kept))
+
+
+def pair_flat_frame(g) -> Frame:
+    worlds = frozenset(FlatWorld(w, k) for k, m in g.submodels for w in m.frame.worlds)
+    return Frame(worlds, frozenset((FlatWorld(a, k), FlatWorld(b, k))
+                                   for k, m in g.submodels for a, b in m.frame.le))
+
+
+def pair_partial_links(m) -> tuple[list, list]:
+    """(box, diamond) links between the cells of a partial model: box reads
+    the reference order, diamond the same world."""
+    g = m.general
+    worlds = {k: sm.frame.worlds for k, sm in g.submodels}
+    ref_le = g.submodel(m.reference).frame.le
+    box = [((k, w), (k2, w2)) for k, k2 in g.succ for w, w2 in ref_le
+           if w in worlds[k] and w2 in worlds[k2]]
+    dia = [((k, w), (k2, w)) for k, k2 in g.succ for w in worlds[k] if w in worlds[k2]]
+    return box, dia
+
+
+def pair_homogeneous(g) -> bool:
+    """Every member has one frame, compared as (worlds, le)."""
+    return len({(m.frame.worlds, m.frame.le) for _, m in g.submodels}) == 1
 
 
 # --- independent oracles ----------------------------------------------------

@@ -445,8 +445,45 @@ class TestRowsStayRows:
         assert len(built) == 1 and "compiled" in built[0].__dict__
         assert "le" not in built[0].__dict__
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--formula", "[]p -> <>p", "--logic", "partial"],
+        ["check", "--formula", "[]p -> <>p", "--logic", "homogeneous"],
+        ["flatten"],
+    ])
+    def test_family_checks_leave_le_unspelled(self, argv, tmp_path, monkeypatch, capsys):
+        """Partial copies, one shared frame, the cell rows and the flat frame
+        all come from the members' rows."""
+        import imk.modelfile
+        built, original = [], imk.modelfile.build_frame
+
+        def build_frame(worlds, gens):
+            built.append(original(worlds, gens))
+            return built[-1]
+
+        monkeypatch.setattr(imk.modelfile, "build_frame", build_frame)
+        worlds = [f"w{i}" for i in range(60)]
+        lines = []
+        for name, start in (("K1", 30), ("K2", 20)):
+            lines += [f"model {name}", "worlds " + " ".join(worlds)]
+            lines += [f"le {a} {b}" for a, b in zip(worlds, worlds[1:])]
+            lines += [f"val {w} : p" for w in worlds[start:]] + ["end"]
+        path = tmp_path / "chains.km"
+        path.write_text("\n".join(lines + ["succ K1 K2", "succ K2 K1", ""]))
+        assert main(argv + ["--model", str(path)]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == 2
+        assert all("le" not in frame.__dict__ for frame in built)
+
 
 class TestExitCodes:
+    def test_relation_endpoint_names_the_least_pair(self, tmp_path, capsys):
+        path = tmp_path / "layered.km"
+        path.write_text("nmodel H level 1\nmodel K\nworlds a\nval a :\nend\n"
+                        "rel succ K X\nrel succ Y K\nrel succ K Z\nend\n")
+        assert main(["check", "--model", str(path), "--formula", "p"]) == 1
+        assert capsys.readouterr().err == ("error: line 1: nmodel 'H': relation 'succ' "
+                                           "endpoint 'K' or 'X' is not an object\n")
+
     def test_usage_error(self, capsys):
         assert main(["countermodel", "--formula", "p", "--logic", "nope"]) == 1
 

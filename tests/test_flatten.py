@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from imk import (FlatWorld, build_frame, build_prop_model, classify,
@@ -6,7 +8,8 @@ from imk import (FlatWorld, build_frame, build_prop_model, classify,
                  verify_flatten_class)
 from imk.general import InvalidModelClassError
 
-from gen import formula_pool, homogeneous_corpus, partial_corpus
+from gen import (formula_pool, homogeneous_corpus, pair_flat_frame, partial_corpus,
+                 random_same_carrier_family)
 
 
 def timeline(succ=(("K", "K1"), ("K", "K2"))):
@@ -59,6 +62,22 @@ class TestFlatten:
                 assert a.submodel == b.submodel
             for a, b in flat.r:
                 assert a.world == b.world
+
+    def test_frame_matches_the_pair_built_frame(self):
+        """The flat frame comes from the member rows: (world, member) pairs
+        numbered by world, then member, with each member's order inside."""
+        rng = random.Random(83)
+        families = [m.general for m in partial_corpus(60, seed=83)]
+        families += [random_same_carrier_family(rng) for _ in range(60)]
+        for g in families:
+            frame = flatten(g).frame
+            want = pair_flat_frame(g)
+            assert frame == want and frame.compiled == want.compiled
+            assert frame.le == want.le
+            assert frame.sorted_worlds() == sorted(frame.worlds)
+        g = timeline()  # members made by build_frame: flatten reads their rows only
+        flatten(g)
+        assert all("le" not in m.frame.__dict__ for _, m in g.submodels)
 
 
 class TestVerifyFlattenClass:

@@ -12,12 +12,13 @@ from imk.formulas import BOTTOM, Box, subformulas
 from imk.general import (CLASSICAL_POINT, CarrierMismatchError,
                          InvalidModelClassError, UnknownSubmodelError,
                          classical_member)
-from imk.kripke import ModelError, UnknownWorldError
+from imk.kripke import ModelError, UnknownWorldError, relation_masks
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
                  naive_family_entails, naive_homogeneous_forces,
-                 naive_partial_forces, naive_same_world_forces, partial_corpus,
-                 random_homogeneous_model, random_same_carrier_family)
+                 naive_partial_forces, naive_same_world_forces, pair_homogeneous,
+                 pair_partial_links, partial_corpus, random_homogeneous_model,
+                 random_same_carrier_family)
 
 
 def timeline_family(succ):
@@ -196,8 +197,53 @@ class TestCompileOnce:
         assert len(walks) == 30
 
 
+class TestCellRows:
+    """Family kernels number cells in g.cells() order, and build their rows
+    from the member and reference rows; the pair definitions are oracles."""
+
+    def test_bit_order_is_cells(self):
+        for m in partial_corpus(60, seed=71) + homogeneous_corpus(60, seed=71):
+            index = m.kernel.index
+            assert list(index) == m.general.cells()
+            assert list(index.values()) == list(range(len(index)))
+
+    def test_partial_rows_match_the_pair_links(self):
+        for m in partial_corpus(150, seed=73):
+            box, dia = pair_partial_links(m)
+            kernel = m.kernel
+            assert kernel.box == relation_masks(kernel.index, box)
+            assert kernel.dia == relation_masks(kernel.index, dia)
+
+    def test_partial_rows_do_not_read_le(self):
+        for m in partial_corpus(40, seed=79):
+            g = general_model({k: build_prop_model(build_frame(sm.frame.worlds, sm.frame.le),
+                                                   {w: sm.atoms(w) for w in sm.worlds})
+                               for k, sm in m.general.submodels}, m.general.succ)
+            rebuilt = as_partial(g, m.reference)
+            assert rebuilt.kernel.box == m.kernel.box
+            assert all("le" not in sm.frame.__dict__ for _, sm in g.submodels)
+
+    def test_homogeneous_rows_link_the_same_world(self):
+        for h in homogeneous_corpus(100, seed=75):
+            g = h.general
+            links = [((k, w), (k2, w)) for k, k2 in g.succ
+                     for w in g.submodel(k).worlds]
+            want = relation_masks(h.kernel.index, links)
+            assert h.kernel.box == want and h.kernel.dia == want
+
+    def test_validate_homogeneous_matches_the_pair_sets(self):
+        rng = random.Random(77)
+        families = [random_same_carrier_family(rng) for _ in range(150)]
+        families += [h.general for h in homogeneous_corpus(50, seed=77)]
+        families += [m.general for m in partial_corpus(50, seed=77)]
+        verdicts = [validate_homogeneous(g) for g in families]
+        assert verdicts == [pair_homogeneous(g) for g in families]
+        assert 40 < sum(verdicts) < len(families) - 40
+
+
 ONE_WORLD = build_prop_model(build_frame({"w"}, set()), {})
 OTHER_WORLD = build_prop_model(build_frame({"v"}, set()), {})
+TWO_WORLDS = build_prop_model(build_frame({"w", "v"}, set()), {})
 
 
 class TestModularClauses:
@@ -286,14 +332,18 @@ class TestModularClauses:
 
     @pytest.mark.parametrize("family, succ, k, w, error, message", [
         ({}, set(), "K1", "w", ModelError, "empty family"),
-        ({"K1": ONE_WORLD, "K2": OTHER_WORLD}, set(), "K1", "w", CarrierMismatchError,
-         "member 'K2' has carrier {'v'}, expected {'w'}"),
+        ({"K1": TWO_WORLDS, "K2": OTHER_WORLD}, set(), "K1", "w", CarrierMismatchError,
+         "member 'K2' has carrier {'v'}, expected {'v', 'w'}"),
+        ({"K1": ONE_WORLD, "K2": TWO_WORLDS}, set(), "K1", "w", CarrierMismatchError,
+         "member 'K2' has carrier {'v', 'w'}, expected {'w'}"),
         ({"K1": ONE_WORLD}, {("K1", "K9")}, "K1", "w", ModelError,
          "succ endpoint 'K1' or 'K9' is not a family member"),
+        ({"K1": ONE_WORLD}, {("K9", "K1"), ("K1", "K8"), ("K1", "K9")}, "K1", "w", ModelError,
+         "succ endpoint 'K1' or 'K8' is not a family member"),
         ({"K1": ONE_WORLD}, set(), "K9", "w", UnknownSubmodelError,
          "unknown submodel 'K9'"),
         ({"K1": ONE_WORLD}, set(), "K1", "v", UnknownWorldError, "unknown world 'v'"),
-    ], ids=["empty", "carrier", "succ", "member", "world"])
+    ], ids=["empty", "carrier", "carrier_two", "succ", "succ_least", "member", "world"])
     def test_input_errors(self, family, succ, k, w, error, message):
         with pytest.raises(error) as info:
             modular_mk_evaluate(family, succ, k, w, parse("p"))

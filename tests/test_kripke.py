@@ -7,10 +7,13 @@ from imk import (BOTTOM, build_frame, build_prop_model, entails, forces,
                  general_model, is_partial_copy, model_valid, parse,
                  upward_restrict, validate_homogeneous, HeredityError,
                  ModelError, UnknownWorldError)
-from imk.kripke import Frame, PropModel, UnsupportedConnectiveError, closure
+from imk.birelational import BirelationalModel
+from imk.kripke import (Frame, PropModel, UnsupportedConnectiveError, closure,
+                        sub_frame, world_key)
 from imk.search import SearchBounds, enumerate_models
 
-from gen import formula_pool, naive_closure, naive_forces, random_generators
+from gen import (formula_pool, naive_closure, naive_forces, pair_partial_copy,
+                 pair_sub_frame, random_generators, random_order)
 
 
 @pytest.fixture
@@ -106,6 +109,126 @@ class TestRowBuiltFrames:
             chain.worlds = frozenset()
         with pytest.raises(FrozenInstanceError):
             del chain.le
+
+
+class TestOneNumbering:
+    """Every frame numbers its worlds in world_key order, however it was
+    made: bit i of each row is sorted_worlds()[i]."""
+
+    @pytest.fixture
+    def frames(self):
+        rng = random.Random(31)
+        out = []
+        for _ in range(120):
+            # w1..w12 sort as strings (w10 before w2); tuples sort field by field
+            n = rng.randint(1, 12)
+            worlds = rng.choice([[f"w{i}" for i in range(1, n + 1)],
+                                 [(f"w{i % 3}", f"K{i}") for i in range(n)]])
+            gens = random_generators(rng, worlds)
+            closed = naive_closure(worlds, gens)
+            out += [(worlds, closed, build_frame(worlds, gens)),
+                    (worlds, closed, Frame(frozenset(worlds), closed))]
+        return out
+
+    def test_bit_i_is_the_ith_sorted_world(self, frames):
+        for worlds, closed, frame in frames:
+            index, up = frame.compiled
+            names = sorted(worlds, key=world_key)
+            assert list(index) == names == frame.sorted_worlds()
+            assert list(index.values()) == list(range(len(names)))
+            assert {(names[i], names[j]) for i, row in enumerate(up)
+                    for j in range(len(names)) if row >> j & 1} == closed
+
+    def test_frames_over_one_world_set_line_up(self, frames):
+        """Equal frames have equal rows, and compare and hash on them."""
+        for (_, closed, rows), (_, _, pairs) in zip(frames[::2], frames[1::2]):
+            assert rows.compiled == pairs.compiled and rows == pairs
+            assert hash(rows) == hash(pairs)
+            assert rows.le == pairs.le == closed
+
+    def test_partial_copy_matches_the_pair_definition(self):
+        """Candidates: subsets with the restricted order (upward closed or
+        not), subsets with another order, and sets with a world the
+        reference lacks."""
+        rng = random.Random(37)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            worlds = [f"w{i}" for i in range(1, rng.randint(1, 6) + 1)]
+            ref = Frame(frozenset(worlds), naive_closure(worlds, random_generators(rng, worlds)))
+            kept = {w for w in worlds if rng.random() < 0.6} or {worlds[0]}
+            if rng.random() < 0.2:
+                kept.add("x9")
+            kept = sorted(kept)
+            for cand in (random_order(rng, kept), pair_sub_frame(ref, kept)
+                         if set(kept) <= ref.worlds else random_order(rng, kept)):
+                verdict = is_partial_copy(cand, ref)
+                assert verdict == pair_partial_copy(cand, ref)
+                assert is_partial_copy(cand, ref) == verdict  # the kept verdict
+                seen[verdict] += 1
+        assert min(seen.values()) > 50
+
+    def test_sub_frame_matches_the_pair_restriction(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            worlds = [f"w{i}" for i in range(1, rng.randint(1, 7) + 1)]
+            frame = build_frame(worlds, random_generators(rng, worlds))
+            kept = frozenset(w for w in worlds if rng.random() < 0.6) or frozenset(worlds)
+            sub = sub_frame(frame, kept)
+            assert "le" not in frame.__dict__  # the rows were enough
+            want = pair_sub_frame(frame, kept)
+            assert sub == want and sub.compiled == want.compiled and sub.le == want.le
+
+    def test_sub_frame_reports_what_is_wrong(self, chain):
+        with pytest.raises(ModelError, match="at least one world"):
+            sub_frame(chain, frozenset())
+        with pytest.raises(ModelError, match="not reflexive at 'b'"):
+            sub_frame(chain, frozenset({"m", "b", "c"}))
+
+
+class TestLeastOffender:
+    """Errors name the least offending world or pair, whatever the set
+    order, so that the report does not depend on the hash seed."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Frame(frozenset("abcd"), frozenset({("a", "a")})),
+         "le is not reflexive at 'b'"),
+        (lambda: Frame(frozenset("a"), frozenset({("a", "z"), ("y", "a"), ("a", "x")})),
+         "le endpoint 'a' or 'x' is not a world"),
+        (lambda: Frame(frozenset("abcd"), frozenset(
+            {(w, w) for w in "abcd"} | {("a", "b"), ("b", "c"), ("b", "d"), ("c", "d")})),
+         "le is not transitive: 'a' 'b' 'c'"),
+        (lambda: PropModel(build_frame("a", ()), frozenset({("z", "p"), ("x", "p"), ("y", "q")})),
+         "unknown world 'x'"),
+        (lambda: BirelationalModel(build_frame("a", ()),
+                                   frozenset({("a", "z"), ("a", "x"), ("a", "y")}), frozenset()),
+         "r endpoint 'a' or 'x' is not a world"),
+        (lambda: general_model({"K": build_prop_model(build_frame("a", ()), {})},
+                               {("K", "X"), ("Y", "K"), ("K", "Z")}),
+         "succ endpoint 'K' or 'X' is not a declared submodel"),
+    ], ids=["reflexive", "le_endpoint", "transitive", "val_world", "r_endpoint",
+            "succ_endpoint"])
+    def test_exact_message(self, build, message):
+        with pytest.raises(ModelError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_messages_under_other_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        import imk
+        script = ("from imk.kripke import Frame\n"
+                  "for le in [{('a', 'a')}, {('a', 'z'), ('y', 'a'), ('a', 'x')}]:\n"
+                  "    try:\n"
+                  "        Frame(frozenset('abcdefgh'), frozenset(le))\n"
+                  "    except ValueError as exc:\n"
+                  "        print(exc)\n")
+        src = str(Path(imk.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
+                for seed in ("0", "1", "2", "3")}
+        assert outs == {"le is not reflexive at 'b'\nle endpoint 'a' or 'x' is not a world\n"}
 
 
 class TestBuildPropModel:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from imk.modelfile import (ModelFileError, dump_birelational, dump_general,
                            dump_higher, dump_prop_model, loads)
 from imk.search import SearchBounds, enumerate_models
 
+from gen import random_layered_model
 from test_properties import birelational_models, partial_models, prop_models
 
 BIREL = """\
@@ -164,6 +166,8 @@ TOKENS = ("model", "nmodel", "worlds", "le", "r", "val", ":", "end", "succ",
 
 
 def _model_text(m) -> str:
+    if hasattr(m, "level"):
+        return dump_higher(m)
     if hasattr(m, "r"):
         return dump_birelational(m)
     if hasattr(m, "general"):
@@ -171,11 +175,19 @@ def _model_text(m) -> str:
     return dump_prop_model(m)
 
 
+def layered_models():
+    """Level-1 and level-2 models with one or two top relations."""
+    return st.builds(lambda seed, level, relations: random_layered_model(
+        random.Random(seed), level, max_objects=2 + (level == 1), relations=relations),
+        st.integers(0, 2 ** 16), st.integers(1, 2), st.integers(1, 2))
+
+
 @st.composite
 def model_texts(draw):
-    """The file of a small prop, birelational or family model, with up to
-    three lines dropped, repeated, or with one word replaced or added."""
-    model = draw(st.one_of(prop_models(4), birelational_models(4), partial_models()))
+    """The file of a small prop, birelational, family or layered model, with
+    up to three lines dropped, repeated, or with one word replaced or added."""
+    model = draw(st.one_of(prop_models(4), birelational_models(4), partial_models(),
+                           layered_models()))
     lines = _model_text(model).split("\n")
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -224,4 +236,18 @@ class TestLoaderFuzz:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = cli.main(["check", "--model", str(fuzz_path), "--formula", formula] + logic)
+        assert rc in (0, 1), err.getvalue()
+
+    @given(model_texts(), st.sampled_from([
+        ["frame-check"], ["frame-check", "--json"], ["classify"], ["flatten"],
+        ["flatten", "--json"], ["equiv-report", "--formula", "p;[]p -> <>q"],
+        ["equiv-report", "--formula", "<>p", "--gamma", "q", "--logic", "mk"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_subcommands_answer_or_reject(self, fuzz_path, text, argv):
+        """The other model-reading subcommands on the same texts: 0 or 1,
+        never 2."""
+        fuzz_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--model", str(fuzz_path)])
         assert rc in (0, 1), err.getvalue()
