@@ -14,18 +14,17 @@ IK forcing is defined on birelational models, MK forcing on strong ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
 from .kripke import Frame, Kernel, ModelError, PropModel, World, compose, points
-from .memo import cached
+from .memo import Record, cached, set_field
 
 __all__ = [
     "BirelationalModel", "ConditionReport", "CONDITIONS",
     "NotBirelationalError", "NotStrongError",
-    "check_condition", "classify",
+    "check_condition", "class_of", "classify",
     "forces_ik", "forces_mk", "entails_ik", "entails_mk", "valid_ik", "valid_mk",
 ]
 
@@ -40,17 +39,19 @@ class NotStrongError(ModelError):
     """MK clauses are only defined on strong models: F3 is required."""
 
 
-@dataclass(frozen=True)
-class BirelationalModel:
+class BirelationalModel(Record):
     frame: Frame
     r: frozenset  # modal relation; no closure is applied
     val: frozenset  # pairs (world, atom), hereditary over frame.le
 
-    def __post_init__(self):
-        worlds = self.frame.worlds
-        for a, b in self.r:
+    def __init__(self, frame: Frame, r: frozenset, val: frozenset):
+        set_field(self, "frame", frame)
+        set_field(self, "r", r)
+        set_field(self, "val", val)
+        worlds = frame.worlds
+        for a, b in r:
             if a not in worlds or b not in worlds:  # report the least bad pair
-                a, b = min(p for p in self.r if p[0] not in worlds or p[1] not in worlds)
+                a, b = min(p for p in r if p[0] not in worlds or p[1] not in worlds)
                 raise ModelError(f"r endpoint {a!r} or {b!r} is not a world")
         self.prop  # the propositional validation (heredity, known worlds)
 
@@ -92,8 +93,7 @@ class BirelationalModel:
         return Kernel(self.frame.compiled[0], up, self.prop.atom_masks, r, r)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     condition: str
     holds: bool
     unique: bool
@@ -159,16 +159,28 @@ def check_condition(m: BirelationalModel, c: str) -> ConditionReport:
                            violations, nonunique)
 
 
+# The class of a model by how many of F1, F2, F3, F4 hold, in that order.
+_CLASSES = ("none", "none", "birelational", "strong", "excessive")
+
+
 def classify(m: BirelationalModel, require_unique: bool = True) -> str:
     """Strongest class the model belongs to: 'excessive' > 'strong' >
     'birelational' > 'none'.  Witness uniqueness is part of each class
     definition; pass require_unique=False to accept non-unique witnesses."""
     if require_unique not in m.classes:
-        held = 0  # how many of F1, F2, F3, F4 hold, in that order
+        held = 0
         while held < 4 and not next(_failures(m, CONDITIONS[held], require_unique), None):
             held += 1
-        m.classes[require_unique] = ("none", "none", "birelational", "strong", "excessive")[held]
+        m.classes[require_unique] = _CLASSES[held]
     return m.classes[require_unique]
+
+
+def class_of(reports: list[ConditionReport]) -> str:
+    """classify's answer read from the reports of F1-F4, in that order."""
+    held = 0
+    while held < 4 and reports[held].unique:
+        held += 1
+    return _CLASSES[held]
 
 
 _RANK = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}

@@ -15,12 +15,12 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .birelational import (CONDITIONS, check_condition, classify, entails_ik,
-                           entails_mk)
+from .birelational import (CONDITIONS, check_condition, class_of, classify,
+                           entails_ik, entails_mk)
 from .flatten import equivalence_report, flatten
 from .formulas import (Atom, Box, Diamond, Formula, ParseError, complexity,
                        parse, render)
-from .general import (as_homogeneous, as_partial, entails_homogeneous,
+from .general import (GeneralModel, as_homogeneous, as_partial, entails_homogeneous,
                       entails_partial, validate_homogeneous, validate_partial)
 from .higher import evaluate
 from .kripke import ModelError, entails
@@ -105,12 +105,11 @@ def _split_at(at: str) -> tuple[str, str | None]:
     return world, submodel or None
 
 
-def _family_kind(doc: Document, args) -> str:
+def _family_kind(g: GeneralModel, args) -> str:
     if getattr(args, "as_class", None):
         return args.as_class
     if args.logic in ("partial", "homogeneous", "classicalK"):
         return "homogeneous" if args.logic in ("homogeneous", "classicalK") else "partial"
-    g = doc.as_general()
     if validate_homogeneous(g):
         return "homogeneous"
     if validate_partial(g) is not None:
@@ -154,7 +153,7 @@ def _check_points(doc: Document, args):
             raise UsageError(f"--logic {args.logic} needs a single-model file; "
                              "families use partial, homogeneous or classicalK")
         g = doc.as_general()
-        kind = _family_kind(doc, args)
+        kind = _family_kind(g, args)
         if kind == "partial":
             model = as_partial(g, doc.reference)
             ent = entails_partial
@@ -223,7 +222,7 @@ def _report_json(rep) -> dict:
 def _cmd_frame_check(args) -> int:
     m = _load(args).as_birelational()
     reports = [check_condition(m, c) for c in CONDITIONS]
-    cls = classify(m)
+    cls = class_of(reports)
     text = "\n".join(_report_text(rep) for rep in reports) + f"\nclass: {cls}"
     _emit(args, {"reports": [_report_json(rep) for rep in reports], "class": cls},
           text)

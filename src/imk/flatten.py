@@ -11,7 +11,6 @@ matches MK forcing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .birelational import (BirelationalModel, ConditionReport, check_condition,
@@ -22,6 +21,7 @@ from .general import (GeneralModel, HomogeneousModel, InvalidModelClassError,
                       entails_homogeneous, entails_partial,
                       validate_homogeneous, validate_partial)
 from .kripke import _numbering, _row_frame, points
+from .memo import Record
 
 __all__ = ["FlatWorld", "Disagreement", "EquivalenceReport",
            "flatten", "verify_flatten_class", "equivalence_report"]
@@ -58,8 +58,7 @@ def verify_flatten_class(g: GeneralModel) -> list[ConditionReport]:
     return [check_condition(flat, c) for c in ("F1", "F2", "F3", "F4")]
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Record):
     submodel: str
     world: str
     gamma: tuple[str, ...]
@@ -68,8 +67,7 @@ class Disagreement:
     flat_side: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     logic: str  # "ik" for partial input, "mk" for homogeneous input
     cases: int
     disagreements: tuple

@@ -9,9 +9,8 @@ reintroduces the sugar, so ``parse(render(f))`` is the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .memo import cached
+from .memo import Record, cached, set_field
 
 __all__ = [
     "Formula", "Atom", "Bottom", "And", "Or", "Implies", "Box", "Diamond",
@@ -21,8 +20,9 @@ __all__ = [
 ]
 
 
-class _Node:
-    """Base of the formula classes."""
+class _Node(Record):
+    """Base of the formula classes.  Formulas compare and hash on their
+    program, which is flat, so nesting depth costs no recursion."""
 
     @cached
     def program(self) -> list[tuple]:
@@ -31,43 +31,63 @@ class _Node:
         once however many models evaluate it."""
         return subformula_dag(self)[1]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.program == other.program
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        # neither classes nor None, which CPython 3.11 hashes by address, so
+        # that one hash seed gives every run the same hashes and set orders
+        return hash(tuple([(cls.__name__, a or 0, b or 0) for cls, a, b in self.program]))
+
+
 class Atom(_Node):
     name: str
 
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
-@dataclass(frozen=True)
+
 class Bottom(_Node):
+    def __init__(self):
+        pass
+
+
+class _Binary(_Node):
+    left: "Formula"
+    right: "Formula"
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+
+class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Box(_Node):
+class _Modal(_Node):
     inner: "Formula"
 
+    def __init__(self, inner: "Formula"):
+        set_field(self, "inner", inner)
 
-@dataclass(frozen=True)
-class Diamond(_Node):
-    inner: "Formula"
+
+class Box(_Modal):
+    pass
+
+
+class Diamond(_Modal):
+    pass
 
 
 Formula = Atom | Bottom | And | Or | Implies | Box | Diamond
@@ -232,9 +252,9 @@ def complexity(f: Formula) -> int:
 
 
 def _children(f: Formula) -> tuple:
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
-    if isinstance(f, (Box, Diamond)):
+    if isinstance(f, _Modal):
         return (f.inner,)
     if isinstance(f, (Atom, Bottom)):
         return ()

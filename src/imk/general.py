@@ -17,13 +17,12 @@ Homogeneous evaluation is the MK reading, partial evaluation the IK reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
                      World, build_frame, is_partial_copy)
-from .memo import cached
+from .memo import Record, cached, set_field
 
 __all__ = [
     "GeneralModel", "PartialModel", "HomogeneousModel",
@@ -50,20 +49,21 @@ class CarrierMismatchError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneralModel:
+class GeneralModel(Record):
     submodels: tuple  # sorted pairs (id, PropModel)
     succ: frozenset   # pairs (id, id)
 
-    def __post_init__(self):
-        if not self.submodels:
+    def __init__(self, submodels: tuple, succ: frozenset):
+        set_field(self, "submodels", submodels)
+        set_field(self, "succ", succ)
+        if not submodels:
             raise ModelError("a general model needs at least one submodel")
-        ids = {k for k, _ in self.submodels}
-        if len(ids) != len(self.submodels):
+        ids = {k for k, _ in submodels}
+        if len(ids) != len(submodels):
             raise ModelError("duplicate submodel id")
-        for a, b in self.succ:
+        for a, b in succ:
             if a not in ids or b not in ids:  # report the least bad pair
-                a, b = min(p for p in self.succ if p[0] not in ids or p[1] not in ids)
+                a, b = min(p for p in succ if p[0] not in ids or p[1] not in ids)
                 raise ModelError(f"succ endpoint {a!r} or {b!r} is not a declared submodel")
 
     @property
@@ -99,17 +99,18 @@ def validate_homogeneous(g: GeneralModel) -> bool:
     return all(m.frame == first for _, m in g.submodels)
 
 
-@dataclass(frozen=True)
-class PartialModel:
+class PartialModel(Record):
     general: GeneralModel
     reference: str
 
-    def __post_init__(self):
-        ref = self.general.submodel(self.reference).frame
-        for k, m in self.general.submodels:
+    def __init__(self, general: GeneralModel, reference: str):
+        set_field(self, "general", general)
+        set_field(self, "reference", reference)
+        ref = general.submodel(reference).frame
+        for k, m in general.submodels:
             if not is_partial_copy(m.frame, ref):
                 raise InvalidModelClassError(
-                    f"submodel {k!r} is not a partial copy of reference {self.reference!r}")
+                    f"submodel {k!r} is not a partial copy of reference {reference!r}")
 
     @cached
     def kernel(self) -> Kernel:
@@ -118,12 +119,12 @@ class PartialModel:
         return _cell_kernel(self.general, self.general.submodel(self.reference).frame)
 
 
-@dataclass(frozen=True)
-class HomogeneousModel:
+class HomogeneousModel(Record):
     general: GeneralModel
 
-    def __post_init__(self):
-        if not validate_homogeneous(self.general):
+    def __init__(self, general: GeneralModel):
+        set_field(self, "general", general)
+        if not validate_homogeneous(general):
             raise InvalidModelClassError("submodels do not share one identical frame")
 
     @property

@@ -22,13 +22,12 @@ such a shift, ``evaluate`` raises instead of letting the order decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import HomogeneousModel
 from .kripke import Frame, Kernel, ModelError, PropModel, label_masks, relation_masks
-from .memo import cached
+from .memo import Record, cached
 
 __all__ = [
     "HigherOrderModel", "BadPathError", "PolicyGapError",
@@ -45,8 +44,7 @@ class PolicyGapError(ModelError):
     """The formula is not handled by any level under the evaluation rules."""
 
 
-@dataclass(frozen=True)
-class HigherOrderModel:
+class HigherOrderModel(Record):
     level: int
     objects: tuple    # pairs (name, child); child is None at level 0
     relations: tuple  # pairs (name, frozenset of name pairs), sorted

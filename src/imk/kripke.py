@@ -14,13 +14,12 @@ points with bitmask rows, and differ only in the rows they build.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .formulas import And, Atom, Bottom, Box, Formula, Implies, Or
-from .memo import cached
+from .memo import Record, cached, set_field
 
 __all__ = [
     "World", "Frame", "PropModel",
@@ -116,7 +115,7 @@ def _numbering(worlds: Iterable[World]) -> dict:
     return {w: i for i, w in enumerate(sorted(worlds, key=world_key))}
 
 
-class Frame:
+class Frame(Record):
     """A finite preorder.  compiled is (index, up): each world's number, its
     place in world_key order, and for each number the bitmask of the worlds
     at or above it.  Frame(worlds, le) checks the pairs (a, b) with a <= b it
@@ -142,15 +141,9 @@ class Frame:
                 if extra:
                     d = names[next(points(extra))]
                     raise ModelError(f"le is not transitive: {names[i]!r} {names[j]!r} {d!r}")
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "compiled", (index, tuple(up)))
-        object.__setattr__(self, "le", le)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        set_field(self, "worlds", worlds)
+        set_field(self, "compiled", (index, tuple(up)))
+        set_field(self, "le", le)
 
     def __eq__(self, other):
         if not isinstance(other, Frame):
@@ -196,8 +189,8 @@ class Frame:
 def _row_frame(worlds: frozenset, index: dict, up: list[int]) -> Frame:
     """A frame on closed rows over index, a numbering in world_key order."""
     frame = object.__new__(Frame)
-    object.__setattr__(frame, "worlds", worlds)
-    object.__setattr__(frame, "compiled", (index, tuple(up)))
+    set_field(frame, "worlds", worlds)
+    set_field(frame, "compiled", (index, tuple(up)))
     return frame
 
 
@@ -303,22 +296,23 @@ class Kernel:
         return not premises & ~self.extension(f) & self.full
 
 
-@dataclass(frozen=True)
-class PropModel:
+class PropModel(Record):
     frame: Frame
     val: frozenset  # pairs (world, atom)
 
-    def __post_init__(self):
-        worlds = self.frame.worlds
-        for w, _ in self.val:
+    def __init__(self, frame: Frame, val: frozenset):
+        set_field(self, "frame", frame)
+        set_field(self, "val", val)
+        worlds = frame.worlds
+        for w, _ in val:
             if w not in worlds:  # report the least unknown world
-                raise UnknownWorldError(min((v for v, _ in self.val if v not in worlds),
+                raise UnknownWorldError(min((v for v, _ in val if v not in worlds),
                                             key=world_key))
-        index, up = self.frame.compiled
+        index, up = frame.compiled
         masks = self.atom_masks
-        for w, atom in self.val:
+        for w, atom in val:
             if up[index[w]] & ~masks[atom]:  # the least (world, atom), its least missing world
-                low, atom = min((index[v], a) for v, a in self.val if up[index[v]] & ~masks[a])
+                low, atom = min((index[v], a) for v, a in val if up[index[v]] & ~masks[a])
                 names = list(index)
                 raise HeredityError(names[low], names[next(points(up[low] & ~masks[atom]))], atom)
 

@@ -13,7 +13,8 @@ One block per propositional or birelational model::
 
 A family file holds several blocks followed by ``succ A B`` lines and an
 optional ``reference K`` line.  Layered models use ``nmodel H level n``
-blocks that nest ``model``/``nmodel`` blocks plus ``rel name a b`` lines.
+blocks that nest ``model``/``nmodel`` blocks plus ``rel name a b`` lines;
+a ``rel name`` line declares a relation that may have no pairs.
 Files are UTF-8 with LF newlines; ``#`` starts a comment.  Serialization is
 canonical (sorted) so equal models produce byte-identical files.
 """
@@ -21,13 +22,13 @@ canonical (sorted) so equal models produce byte-identical files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .birelational import BirelationalModel
 from .general import GeneralModel, general_model
 from .higher import HigherOrderModel, from_birelational, wrap_prop_model
 from .kripke import Frame, PropModel, build_frame, build_prop_model
 from .flatten import FlatWorld
+from .memo import Record, set_field
 
 __all__ = ["ModelFileError", "Document", "RawModel", "loads", "load_path",
            "dump_prop_model", "dump_birelational", "dump_general", "dump_higher"]
@@ -43,14 +44,20 @@ class ModelFileError(ValueError):
         self.line = line
 
 
-@dataclass
-class RawModel:
+class RawModel(Record, frozen=False):
     name: str
     line: int
-    worlds: list[str] = field(default_factory=list)
-    le: list[tuple[str, str]] = field(default_factory=list)
-    r: list[tuple[str, str]] = field(default_factory=list)
-    val: dict[str, set[str]] = field(default_factory=dict)
+    worlds: list[str]
+    le: list[tuple[str, str]]
+    r: list[tuple[str, str]]
+    val: dict[str, set[str]]
+
+    def __init__(self, name: str, line: int, worlds=None, le=None, r=None, val=None):
+        self.name, self.line = name, line
+        self.worlds = [] if worlds is None else worlds
+        self.le = [] if le is None else le
+        self.r = [] if r is None else r
+        self.val = {} if val is None else val
 
     def frame(self) -> Frame:
         if not self.worlds:
@@ -65,12 +72,17 @@ class RawModel:
         return BirelationalModel(prop.frame, frozenset(self.r), prop.val)
 
 
-@dataclass
-class Document:
-    models: dict[str, RawModel] = field(default_factory=dict)
-    succ: list[tuple[str, str]] = field(default_factory=list)
-    reference: str | None = None
-    nmodels: dict[str, HigherOrderModel] = field(default_factory=dict)
+class Document(Record, frozen=False):
+    models: dict[str, RawModel]
+    succ: list[tuple[str, str]]
+    reference: str | None
+    nmodels: dict[str, HigherOrderModel]
+
+    def __init__(self, models=None, succ=None, reference=None, nmodels=None):
+        self.models = {} if models is None else models
+        self.succ = [] if succ is None else succ
+        self.reference = reference
+        self.nmodels = {} if nmodels is None else nmodels
 
     def single_model(self) -> RawModel:
         if self.nmodels or len(self.models) != 1 or self.succ:
@@ -185,12 +197,12 @@ def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrde
             child_name, child_level = _parse_nmodel_header(toks, lineno)
             objects.append((child_name,
                             _parse_nmodel_block(child_name, child_level, lineno, stream)))
-        elif head == "rel":
-            if len(toks) != 4:
-                raise ModelFileError("rel line looks like: rel <name> <a> <b>", lineno)
-            rel_name = _want_id(toks[1], lineno)
-            relations.setdefault(rel_name, set()).add(
-                (_want_id(toks[2], lineno), _want_id(toks[3], lineno)))
+        elif head == "rel":  # "rel <name>" alone declares the relation, maybe empty
+            if len(toks) not in (2, 4):
+                raise ModelFileError("rel line looks like: rel <name> [<a> <b>]", lineno)
+            pairs = relations.setdefault(_want_id(toks[1], lineno), set())
+            if len(toks) == 4:
+                pairs.add((_want_id(toks[2], lineno), _want_id(toks[3], lineno)))
         else:
             raise ModelFileError(f"unexpected {head!r} inside an nmodel block", lineno)
     raise ModelFileError(f"nmodel {name!r} is missing its end line", start)
@@ -294,7 +306,7 @@ def _member_body(m: PropModel) -> str:
     body = getattr(m, "_file_body", None)
     if body is None:
         body = _block_body(m.frame, frozenset(), m.val)
-        object.__setattr__(m, "_file_body", body)  # as memo.cached does
+        set_field(m, "_file_body", body)  # as memo.cached does
     return body
 
 
@@ -326,8 +338,7 @@ def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
     for child_name, child in m.objects:
         lines.extend(_higher_lines(child, child_name))
     for rel_name, pairs in m.relations:
-        for a, b in sorted(pairs):
-            lines.append(f"rel {rel_name} {a} {b}")
+        lines += [f"rel {rel_name} {a} {b}" for a, b in sorted(pairs)] or [f"rel {rel_name}"]
     lines.append("end")
     return lines
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -21,6 +20,7 @@ from .formulas import Atom, Formula
 from .general import (GeneralModel, HomogeneousModel, PartialModel,
                       forces_homogeneous, forces_partial)
 from .kripke import Frame, PropModel, closure, forces, sub_frame
+from .memo import Record
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
 __all__ = ["SearchBounds", "SearchOutcome", "LOGICS",
@@ -33,8 +33,7 @@ LOGICS = ("prop", "ik", "mk", "partial", "homogeneous", "classicalK")
 MAX_ENUMERABLE_WORLDS = 4
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Record):
     logic: str
     max_worlds: int = 3
     max_atoms: int = 1
@@ -50,8 +49,7 @@ class SearchBounds:
             raise ValueError(f"enumeration is capped at {MAX_ENUMERABLE_WORLDS} worlds")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     found: bool
     model: str | None          # canonical model file text
     locus: tuple[str | None, str] | None  # (submodel or None, world)

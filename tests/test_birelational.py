@@ -6,7 +6,7 @@ import pytest
 from imk import (BirelationalModel, build_frame, check_condition, classify,
                  entails_ik, entails_mk, forces_ik, forces_mk, parse,
                  valid_ik, valid_mk)
-from imk.birelational import NotBirelationalError, NotStrongError
+from imk.birelational import CONDITIONS, NotBirelationalError, NotStrongError, class_of
 from imk.formulas import modal_free
 from imk.search import SearchBounds, enumerate_models
 
@@ -82,6 +82,17 @@ class TestCheckCondition:
                 assert_matches_sweep(m, c)
             for require_unique in (True, False):
                 assert classify(m, require_unique) == naive_class(m, require_unique)
+
+    @pytest.mark.parametrize("density", [0.15, 0.5, 0.85], ids=["sparse", "half", "dense"])
+    def test_class_of_the_reports_is_classify(self, density):
+        rng = random.Random(37 + int(100 * density))
+        seen = set()
+        for _ in range(400):
+            m = random_birelational(rng, 6, density)
+            cls = class_of([check_condition(m, c) for c in CONDITIONS])
+            assert cls == classify(m)
+            seen.add(cls)
+        assert len(seen) > 1
 
 
 def assert_matches_sweep(m, c):

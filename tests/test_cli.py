@@ -270,6 +270,21 @@ class TestFrameCheck:
         assert [len(r["nonunique"]) for r in data["reports"]] == [wide, narrow, narrow, wide]
         assert data["reports"][0]["nonunique"][0] == ["w0", "w0", "w0"]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_each_law_is_walked_once(self, three_world, monkeypatch, capsys, json_flag):
+        """The class comes from the four reports, not from a second walk."""
+        import imk.birelational
+        walked, original = [], imk.birelational._failures
+
+        def failures(m, c, unique):
+            walked.append(c)
+            return original(m, c, unique)
+
+        monkeypatch.setattr(imk.birelational, "_failures", failures)
+        assert main(["frame-check", "--model", three_world] + json_flag) == 0
+        assert "birelational" in capsys.readouterr().out
+        assert walked == ["F1", "F2", "F3", "F4"]
+
 
 class TestClassify:
     def test_word(self, three_world, capsys):
@@ -324,6 +339,21 @@ class TestFamilyClassSelection:
         assert main(["check", "--model", homog, "--formula", "<>p"]) == 0
         assert capsys.readouterr().out.splitlines() == \
             ["K1:w1: true", "K2:w1: false"]
+
+    @pytest.mark.parametrize("text", [HOMOG, TIMELINE], ids=["homogeneous", "partial"])
+    def test_inferred_class_builds_one_family(self, text, tmp_path, monkeypatch, capsys):
+        import imk.modelfile
+        built, original = [], imk.modelfile.general_model
+
+        def general_model(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(imk.modelfile, "general_model", general_model)
+        path = tmp_path / "family.km"
+        path.write_text(text)
+        assert main(["check", "--model", str(path), "--formula", "[]p -> <>p"]) == 0
+        assert capsys.readouterr().out and len(built) == 1
 
     @pytest.mark.parametrize("extra", [["--as", "homogeneous"],
                                        ["--as", "partial"],

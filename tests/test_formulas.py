@@ -90,8 +90,7 @@ def _left_nested_implications(depth: int) -> str:
 
 
 # Canonical texts nested 3,000 deep, each with its complexity and whether it
-# is modal-free.  Deep formulas are compared by their text: dataclass ==
-# and hash recurse on the nesting depth.
+# is modal-free.
 DEEP = {"negations": ("~" * 3000 + "p", 6000, True),
         "modalities": ("[]<>" * 1500 + "p", 3000, False),
         "right_implications": (" -> ".join(["p"] * 3000), 2999, True),
@@ -107,6 +106,15 @@ class TestDeepFormulas:
         assert render(f) == text
         assert complexity(f) == size
         assert modal_free(f) == free
+
+    @pytest.mark.parametrize("text", [t for t, _, _ in DEEP.values()], ids=DEEP)
+    def test_compare_hash_and_print(self, text):
+        """Formulas compare and hash on their flat programs and print from
+        a stack, so no recursion follows the nesting depth."""
+        f, g = parse(text), parse(text)
+        assert f == g and hash(f) == hash(g) and f in {g}
+        assert f != parse(text + " | q") and f not in {parse("p")}
+        assert repr(f) == repr(g) and repr(f).startswith(type(f).__name__ + "(")
 
     def test_deep_parentheses(self):
         assert render(parse("(" * 3000 + "p" + ")" * 3000)) == "p"

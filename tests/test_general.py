@@ -190,11 +190,16 @@ class TestCompileOnce:
         # BOTTOM is a shared constant that other tests may have walked already
         pool = [f for f in formula_pool(31, 3, ["p1", "p2"], seed=21) if f is not BOTTOM]
         assert len(pool) == 30
+        # formula_pool hashes every formula it draws, and a formula hashes on
+        # its program; the duplicates it drops are walked too
+        drawn = len(walks)
         for h in homogeneous_corpus(100):
             for k, w in h.general.cells():
                 for f in pool:
                     forces_homogeneous(h, k, w, f)
-        assert len(walks) == 30
+        assert len(walks) == drawn
+        ids = {id(f) for f in pool}
+        assert sorted(id(f) for f in walks if id(f) in ids) == sorted(ids)
 
 
 class TestCellRows:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import imk.cli as cli
-from imk import build_frame, build_prop_model, general_model, lift
+from imk import build_frame, build_prop_model, evaluate, general_model, lift, parse
 from imk.general import HomogeneousModel
 from imk.flatten import flatten
+from imk.higher import PolicyGapError
 from imk.modelfile import (ModelFileError, dump_birelational, dump_general,
                            dump_higher, dump_prop_model, loads)
 from imk.search import SearchBounds, enumerate_models
@@ -132,6 +133,21 @@ class TestRoundTrip:
         m = loads(NESTED).as_higher()
         assert loads(dump_higher(m, "H")).as_higher() == m
 
+    def test_empty_relations(self):
+        two = NESTED.replace("rel succ K1 K2\n", "rel succ K1 K2\nrel next\n")
+        m = loads(two).as_higher()
+        assert m.relations == (("next", frozenset()), ("succ", frozenset({("K1", "K2")})))
+        assert dump_higher(m, "H") == two.replace("rel succ K1 K2\nrel next\n",
+                                                   "rel next\nrel succ K1 K2\n")
+        with pytest.raises(PolicyGapError):
+            evaluate(m, ["K1", "w1"], parse("[]p"))
+        alone = loads(NESTED.replace("rel succ K1 K2", "rel succ")).as_higher()
+        assert alone.relations == (("succ", frozenset()),)
+        assert evaluate(alone, ["K1", "w1"], parse("[]p")) is True
+        for bad in ("rel", "rel succ K1", "rel succ K1 K2 K1"):
+            with pytest.raises(ModelFileError, match="rel line looks like"):
+                loads(NESTED.replace("rel succ K1 K2", bad))
+
     def test_lifted_model_round_trips(self):
         point = build_frame({"w1"}, set())
         h = HomogeneousModel(general_model(
@@ -224,6 +240,21 @@ class TestLoaderFuzz:
     def test_family_round_trip(self, m):
         doc = loads(dump_general(m.general, m.reference))
         assert doc.as_general() == m.general and doc.reference == m.reference
+
+    @given(layered_models())
+    def test_layered_round_trip(self, m):
+        text = dump_higher(m)
+        assert loads(text).as_higher() == m and dump_higher(loads(text).as_higher()) == text
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_layered_seeds_round_trip(self, level):
+        """Seeds 0-199: relations with no pairs among them."""
+        empty = 0
+        for seed in range(200):
+            m = random_layered_model(random.Random(seed), level, relations=2)
+            assert loads(dump_higher(m)).as_higher() == m
+            empty += any(not pairs for _, pairs in m.relations)
+        assert empty
 
     @given(model_texts(), st.sampled_from(["p", "p | ~p", "[]p -> <>q"]),
            st.sampled_from([[], ["--logic", "prop"], ["--logic", "ik"],
