@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
-from .kripke import Frame, Kernel, ModelError, PropModel, World, compose, points
+from .kripke import Frame, Kernel, ModelError, PropModel, World, _image, points
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -71,20 +71,24 @@ class BirelationalModel(Record):
     @cached
     def rows(self) -> dict[str, list[int]]:
         """Over frame.compiled's numbering: up and its converse down, r and
-        its converse rinv."""
+        its converse rinv; with the frame's plan and coplan."""
         index, up = self.frame.compiled
         r, rinv = [0] * len(up), [0] * len(up)
         for a, b in self.r:
             i, j = index[a], index[b]
             r[i] |= 1 << j
             rinv[j] |= 1 << i
-        return {"up": up, "down": self.frame.down, "r": r, "rinv": rinv}
+        frame = self.frame
+        return {"up": up, "down": frame.down, "r": r, "rinv": rinv,
+                "plan": frame.plan, "coplan": frame.coplan}
 
     @cached
     def ik_kernel(self) -> Kernel:
-        """IK: box reads r from every later world (up followed by r), diamond reads r."""
+        """IK: box reads r from every later world (the image of up under r,
+        in one pass over the frame's plan), diamond reads r."""
         up, r = self.rows["up"], self.rows["r"]
-        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks, compose(up, r), r)
+        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks,
+                      _image(self.frame.plan, r), r)
 
     @cached
     def mk_kernel(self) -> Kernel:
@@ -105,37 +109,61 @@ class ConditionReport(Record):
         assert self.unique == (self.holds and not self.nonunique)
 
 
-# Law c holds when, for each point a and each b in reach[a] (the rows x
-# followed by the rows y), the witnesses left[a] & right[b] are not empty, and
-# are one point where uniqueness is asked for.  Each entry picks x, y, left
-# and the converses right' and y' out of BirelationalModel.rows.  An
-# antecedent's middle point lies in x[a] & y'[b]; F1 lists it first, the
-# others second.
-_LAWS = {"F1": itemgetter("down", "r", "r", "down", "rinv"),
-         "F2": itemgetter("r", "up", "up", "r", "down"),
-         "F3": itemgetter("up", "r", "r", "up", "rinv"),
-         "F4": itemgetter("up", "rinv", "rinv", "up", "r")}
+# Law c holds when, for each point a and each b in reach[a], the witnesses
+# of (a, b) are not empty, and are one point where uniqueness is asked for.
+# Each entry names, in BirelationalModel.rows, (plan, left, right, x, back).
+# F1 reaches the left-successors of the points at or below a (plan: the
+# frame's coplan), F3 and F4 those of the points at or above a: one pass
+# over the plan, the union of left over the points a component reaches.
+# a's witnesses lie in the rows right[j] of the points j of left[a].  F2
+# swaps the two: it reaches those rows, its witnesses lie in the pass, and
+# a point j has two or more only if two r-predecessors of j lie in up[a].
+# An antecedent's middle point lies in x[a] & back[b]; F1 lists it first,
+# the others second.
+_LAWS = {"F1": itemgetter("coplan", "r", "down", "down", "rinv"),
+         "F2": itemgetter("plan", "r", "up", "r", "down"),
+         "F3": itemgetter("plan", "r", "up", "up", "rinv"),
+         "F4": itemgetter("plan", "rinv", "up", "up", "r")}
 
 
 def _failures(m: BirelationalModel, c: str, unique: bool):
     """(a, the b in reach[a] with no witness, the b with two or more) for each
     point a where law c fails, or where uniqueness is asked for and fails.
-    The bits are walked inline: search classifies every candidate it builds."""
-    x, y, left, right, _ = _LAWS[c](m.rows)
-    for a, row in enumerate(x):
-        reach = 0
-        while row:
-            low = row & -row
-            reach |= y[low.bit_length() - 1]
-            row ^= low
+    The points come component by component, each checked as soon as its
+    pass row exists, so a failing law stops early.  The bits are walked
+    inline: search classifies every candidate it builds."""
+    plan, left, right, _, _ = _LAWS[c](m.rows)
+    done: list[int] = []  # by step
+    multi, f2 = 0, c == "F2"  # F2: the points with two or more r-predecessors
+    if f2 and unique:
+        up, rinv, seen = m.rows["up"], m.rows["rinv"], 0
+        for row in left:
+            multi |= seen & row
+            seen |= row
+    for a, mates, succ in plan:
+        reach = left[a]
+        for b in mates:
+            reach |= left[b]
+        for s in succ:
+            reach |= done[s]
+        done.append(reach)
         once = twice = 0
         row = left[a]
-        while row:  # the point j of left[a] witnesses (a, b) for each b in right'[j]
+        while row:  # the point j of left[a] witnesses (a, b) for each b in right[j]
             low = row & -row
             j = right[low.bit_length() - 1]
             twice |= once & j
             once |= j
             row ^= low
+        if f2:
+            reach, once, twice = once, reach, 0
+            more = reach & multi
+            while more:
+                bit = more & -more
+                more ^= bit
+                row = rinv[bit.bit_length() - 1] & up[a]
+                if row & row - 1:
+                    twice |= bit
         if reach & ~once or unique and reach & twice:
             yield a, reach & ~once, reach & twice
 
@@ -145,7 +173,7 @@ def check_condition(m: BirelationalModel, c: str) -> ConditionReport:
     whose witness is not unique.  Only failing (a, b) pairs are expanded."""
     if c not in _LAWS:
         raise ValueError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
-    x, _, _, _, back = _LAWS[c](m.rows)
+    *_, x, back = _LAWS[c](m.rows)
     names = list(m.frame.compiled[0])
     found = [], []  # violations, non-unique antecedents
     for a, *masks in _failures(m, c, True):

@@ -15,7 +15,7 @@ points with bitmask rows, and differ only in the rows they build.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .formulas import And, Atom, Bottom, Box, Formula, Implies, Or
@@ -25,7 +25,7 @@ __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
     "build_frame", "build_prop_model", "closure", "relation_masks", "label_masks",
-    "points", "compose", "Kernel", "forces", "entails", "model_valid",
+    "points", "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "sub_frame", "world_key",
 ]
 
@@ -59,26 +59,139 @@ def world_key(w: World):
 
 
 def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Reflexive-transitive closure of pairs over the given world set:
-    Warshall's algorithm on one bitmask row per world or endpoint."""
+    """Reflexive-transitive closure of pairs over the given world set, from
+    one pass over the strongly connected components of the pairs."""
     worlds, pairs = list(worlds), list(pairs)
     names = list(dict.fromkeys([*worlds, *(x for pair in pairs for x in pair)]))
     index = {x: i for i, x in enumerate(names)}
-    rows = relation_masks(index, pairs)
-    for w in worlds:
-        rows[index[w]] |= 1 << index[w]
-    return frozenset((names[i], names[j]) for i, row in enumerate(_warshall(rows))
-                     for j in points(row))
+    gens = relation_masks(index, pairs)
+    up, kept = _close(gens)[0], set(worlds)
+    for i, name in enumerate(names):  # an endpoint outside worlds is above itself only on a cycle
+        if name not in kept and not any(up[j] >> i & 1 for j in points(gens[i])):
+            up[i] ^= 1 << i
+    return frozenset((names[i], names[j]) for i, row in enumerate(up) for j in points(row))
 
 
-def _warshall(rows: list[int]) -> list[int]:
-    """The rows closed under transitivity, in place."""
-    for k, row in enumerate(rows):  # now every path via points 0..k-1 is in rows
-        bit = 1 << k
-        for i, r in enumerate(rows):
-            if r & bit:
-                rows[i] = r | row
-    return rows
+def _close(gens: list[int]) -> tuple[list[int], list[int]]:
+    """The reflexive-transitive closure of the generator rows gens, and the
+    points in the order their components closed: sinks first, a component's
+    points side by side.  Tarjan's algorithm without recursion; a component
+    is closed from those it reaches, one row operation per generator
+    (Purdom 1970; Nuutila 1995)."""
+    n = len(gens)
+    num, low = [0] * n, [0] * n  # depth-first number from 1 (0: unseen), lowlink
+    todo, up, order = list(gens), [0] * n, []
+    stack: list[int] = []  # finished points whose component is still open
+    # done holds the closed points; a closed point's num is never below a lowlink
+    count, closed, done = 0, n + 1, 0
+    for root in range(n):
+        if num[root]:
+            continue
+        bit = 1 << root
+        if not gens[root] & ~bit:  # a sink: closed at once
+            num[root], up[root], done = closed, bit, done | bit
+            order.append(root)
+            continue
+        count += 1
+        num[root] = low[root] = count
+        path = [root]
+        while path:
+            v = path[-1]
+            row = todo[v] & ~done
+            while row:
+                bit = row & -row
+                row ^= bit
+                w = bit.bit_length() - 1
+                if num[w]:
+                    if num[w] < low[v]:
+                        low[v] = num[w]
+                elif gens[w] & ~bit:  # descend to w, and come back for the rest of row
+                    todo[v], count = row, count + 1
+                    num[w] = low[w] = count
+                    path.append(w)
+                    break
+                else:  # a sink, as above
+                    num[w], up[w], done = closed, bit, done | bit
+                    order.append(w)
+            else:
+                path.pop()
+                if low[v] < num[v]:  # v is not its component's root: it waits on the stack
+                    stack.append(v)
+                    if low[v] < low[path[-1]]:
+                        low[path[-1]] = low[v]
+                    continue
+                members, mask, row = [v], 1 << v, gens[v]
+                while stack and num[stack[-1]] > num[v]:  # the rest of v's component
+                    members.append(stack.pop())
+                    mask, row = mask | 1 << members[-1], row | gens[members[-1]]
+                out, row = row & ~mask, row | mask
+                while out:  # a point above one seen needs no second look
+                    above = up[(out & -out).bit_length() - 1]
+                    row, out = row | above, out & ~above
+                for i in members:
+                    num[i], up[i] = closed, row
+                order += members
+                done |= mask
+    return up, order
+
+
+def _plan(up: list[int], gens: list[int], order: list[int]) -> list[tuple]:
+    """The components of the generator rows gens in _close's order, as one
+    step (a, mates, succ) per point.  A component's first step holds its
+    other points as mates and, as succ, the first steps of the components
+    its generators reach, bar those that one listed reaches; each mate's
+    step reads the first step."""
+    plan: list[tuple] = []
+    head, at, prev = [0] * len(up), 0, -1  # head: each point's first step
+    for a in order:
+        row, succ, out = up[a], [], gens[a]
+        while out:
+            j = (out & -out).bit_length() - 1
+            if up[j] == row:  # one component's points share their up row
+                out ^= 1 << j
+            else:
+                succ.append(head[j])
+                out &= ~up[j]
+        if row == prev:
+            plan[at][1].append(a)
+            plan[at][2].extend(succ)
+            plan.append((a, (), (at,)))
+        else:
+            at, prev = len(plan), row
+            plan.append((a, [], succ))
+        head[a] = at
+    return plan
+
+
+def _turn(plan: list[tuple]) -> list[tuple]:
+    """The plan turned around, sources first, each component's first step
+    reading the components with a generator into it."""
+    n, q, firsts, turned, preds = len(plan), 0, [], [], {}
+    while q < n:  # a component: its first step at q, then its mates' steps
+        firsts.append(q)
+        q += 1 + len(plan[q][1])
+        for c in plan[firsts[-1]][2]:
+            preds.setdefault(c, []).append(n - q)  # where its first step goes
+    for q in reversed(firsts):
+        a, mates, _ = plan[q]
+        turned.append((a, mates, preds.get(q, ())))
+        turned += [(b, (), (len(turned) - 1,)) for b in mates]
+    return turned
+
+
+def _image(plan: list[tuple], rows: list[int]) -> list[int]:
+    """Row i is the union of rows over the points that point i reaches in
+    the plan: one row operation per point and per generator."""
+    done, out = [], [0] * len(rows)
+    for a, mates, succ in plan:
+        row = rows[a]
+        for b in mates:
+            row |= rows[b]
+        for c in succ:
+            row |= done[c]
+        done.append(row)
+        out[a] = row
+    return out
 
 
 def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
@@ -105,23 +218,22 @@ def points(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def compose(x: list[int], y: list[int]) -> list[int]:
-    """The rows x followed by y: row i is the union of y's rows at x[i]'s points."""
-    return [reduce(or_, (y[j] for j in points(row)), 0) for row in x]
-
-
 def _numbering(worlds: Iterable[World]) -> dict:
     """Each world's number: its place in world_key order."""
-    return {w: i for i, w in enumerate(sorted(worlds, key=world_key))}
+    try:  # worlds of one kind sort alike on their own, and faster
+        order = sorted(worlds)
+    except TypeError:
+        order = sorted(worlds, key=world_key)
+    return dict(zip(order, range(len(order))))
 
 
 class Frame(Record):
     """A finite preorder.  compiled is (index, up): each world's number, its
     place in world_key order, and for each number the bitmask of the worlds
     at or above it.  Frame(worlds, le) checks the pairs (a, b) with a <= b it
-    is given; build_frame, sub_frame and flatten start from closed rows and
-    spell le out on first read.  Frames are immutable and compare on
-    (worlds, up)."""
+    is given; build_frame closes generator rows and keeps them, sub_frame
+    and flatten start from closed rows, and all spell le out on first read.
+    Frames are immutable and compare on (worlds, up)."""
 
     def __init__(self, worlds: frozenset, le: frozenset):
         if not worlds:
@@ -162,15 +274,28 @@ class Frame(Record):
         return frozenset((a, names[j]) for i, a in enumerate(names) for j in points(up[i]))
 
     @cached
+    def gens(self) -> list[int]:
+        """The generator rows: build_frame keeps its own, other frames take
+        their up rows.  order is _close's for them, plan _plan's, and the
+        coplan is the plan turned around."""
+        return list(self.compiled[1])
+
+    @cached
+    def order(self) -> list[int]:
+        return _close(self.gens)[1]
+
+    @cached
+    def plan(self) -> list[tuple]:
+        return _plan(self.compiled[1], self.gens, self.order)
+
+    @cached
+    def coplan(self) -> list[tuple]:
+        return _turn(self.plan)
+
+    @cached
     def down(self) -> list[int]:
-        """For each number, the bitmask of the worlds at or below it: the
-        transpose of the up rows."""
-        up = self.compiled[1]
-        down = [0] * len(up)
-        for i, row in enumerate(up):
-            for j in points(row):
-                down[j] |= 1 << i
-        return down
+        """For each number, the bitmask of the worlds at or below it."""
+        return _image(self.coplan, [1 << i for i in range(len(self.gens))])
 
     @cached
     def partial_copy_of(self) -> dict:
@@ -196,17 +321,23 @@ def _row_frame(worlds: frozenset, index: dict, up: list[int]) -> Frame:
 
 def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame:
     """Frame over worlds whose le is the reflexive-transitive closure of the
-    generators, closed as bitmask rows."""
+    generators, closed as bitmask rows in one pass over their components."""
     ws = frozenset(worlds)
-    gens = list(le_generators)
-    for a, b in gens:
-        if a not in ws or b not in ws:
-            raise ModelError(f"le generator ({a!r}, {b!r}) has an endpoint outside the world set")
+    index = _numbering(ws)
+    gens = [0] * len(index)
+    for a, b in le_generators:
+        try:
+            gens[index[a]] |= 1 << index[b]
+        except KeyError:
+            raise ModelError(f"le generator ({a!r}, {b!r}) has an endpoint "
+                             "outside the world set") from None
     if not ws:
         raise ModelError("a frame needs at least one world")
-    index = _numbering(ws)
-    rows = [row | 1 << i for i, row in enumerate(relation_masks(index, gens))]
-    return _row_frame(ws, index, _warshall(rows))
+    up, order = _close(gens)
+    frame = _row_frame(ws, index, up)
+    set_field(frame, "gens", gens)
+    set_field(frame, "order", order)
+    return frame
 
 
 class Kernel:

@@ -14,7 +14,9 @@ One block per propositional or birelational model::
 A family file holds several blocks followed by ``succ A B`` lines and an
 optional ``reference K`` line.  Layered models use ``nmodel H level n``
 blocks that nest ``model``/``nmodel`` blocks plus ``rel name a b`` lines;
-a ``rel name`` line declares a relation that may have no pairs.
+a ``rel name`` line declares a relation that may have no pairs.  A nested
+``model`` block that carries ``rel`` lines in place of ``le``/``r`` lines
+is a level-0 object with exactly those relations.
 Files are UTF-8 with LF newlines; ``#`` starts a comment.  Serialization is
 canonical (sorted) so equal models produce byte-identical files.
 """
@@ -26,7 +28,7 @@ import re
 from .birelational import BirelationalModel
 from .general import GeneralModel, general_model
 from .higher import HigherOrderModel, from_birelational, wrap_prop_model
-from .kripke import Frame, PropModel, build_frame, build_prop_model
+from .kripke import Frame, ModelError, PropModel, build_frame, build_prop_model
 from .flatten import FlatWorld
 from .memo import Record, set_field
 
@@ -134,7 +136,8 @@ def _want_id(tok: str, lineno: int) -> str:
     return tok
 
 
-def _parse_model_block(name: str, start: int, stream) -> RawModel:
+def _parse_model_block(name: str, start: int, stream, rels: dict | None = None) -> RawModel:
+    """A model block; inside an nmodel block, rels collects its rel lines."""
     raw = RawModel(name, start)
     for lineno, toks in stream:
         head = toks[0]
@@ -146,6 +149,9 @@ def _parse_model_block(name: str, start: int, stream) -> RawModel:
             for w in raw.val:
                 if w not in seen:
                     raise ModelFileError(f"val line uses undeclared world {w!r}", lineno)
+            if rels and (raw.le or raw.r):
+                raise ModelFileError("a model block with rel lines has no le or r lines",
+                                     lineno)
             return raw
         if head == "worlds":
             if len(toks) < 2:
@@ -163,6 +169,8 @@ def _parse_model_block(name: str, start: int, stream) -> RawModel:
             w = _want_world(toks[1], lineno)
             atoms = {_want_world(t, lineno) for t in toks[3:]}
             raw.val.setdefault(w, set()).update(atoms)
+        elif head == "rel" and rels is not None:
+            _rel_line(toks, lineno, rels, _want_world)
         else:
             raise ModelFileError(f"unexpected {head!r} inside a model block", lineno)
     raise ModelFileError(f"model {name!r} is missing its end line", start)
@@ -177,17 +185,23 @@ def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrde
             if not relations:
                 raise ModelFileError(
                     f"nmodel {name!r} declares no rel lines", start)
-            rels = tuple(sorted((n, frozenset(p)) for n, p in relations.items()))
             try:
-                return HigherOrderModel(level, tuple(objects), rels)
+                return HigherOrderModel(level, tuple(objects), _relations(relations))
             except ValueError as exc:
                 raise ModelFileError(f"nmodel {name!r}: {exc}", start)
         if head == "model":
             if len(toks) != 2:
                 raise ModelFileError("model line looks like: model <Id>", lineno)
-            child_name = _want_id(toks[1], lineno)
-            raw = _parse_model_block(child_name, lineno, stream)
-            if raw.r:
+            child_name, rels = _want_id(toks[1], lineno), {}
+            raw = _parse_model_block(child_name, lineno, stream, rels)
+            if rels:
+                val = frozenset((w, a) for w, atoms in raw.val.items() for a in atoms)
+                try:
+                    child = HigherOrderModel(0, tuple((w, None) for w in raw.worlds),
+                                             _relations(rels), val)
+                except ValueError as exc:
+                    raise ModelFileError(f"model {child_name!r}: {exc}", lineno)
+            elif raw.r:
                 m = raw.to_birelational()
                 child = from_birelational(m.frame, m.r, m.val)
             else:
@@ -197,15 +211,25 @@ def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrde
             child_name, child_level = _parse_nmodel_header(toks, lineno)
             objects.append((child_name,
                             _parse_nmodel_block(child_name, child_level, lineno, stream)))
-        elif head == "rel":  # "rel <name>" alone declares the relation, maybe empty
-            if len(toks) not in (2, 4):
-                raise ModelFileError("rel line looks like: rel <name> [<a> <b>]", lineno)
-            pairs = relations.setdefault(_want_id(toks[1], lineno), set())
-            if len(toks) == 4:
-                pairs.add((_want_id(toks[2], lineno), _want_id(toks[3], lineno)))
+        elif head == "rel":
+            _rel_line(toks, lineno, relations, _want_id)
         else:
             raise ModelFileError(f"unexpected {head!r} inside an nmodel block", lineno)
     raise ModelFileError(f"nmodel {name!r} is missing its end line", start)
+
+
+def _rel_line(toks, lineno: int, relations: dict, want) -> None:
+    """"rel <name>" alone declares the relation, maybe empty; want checks
+    the endpoints."""
+    if len(toks) not in (2, 4):
+        raise ModelFileError("rel line looks like: rel <name> [<a> <b>]", lineno)
+    pairs = relations.setdefault(_want_id(toks[1], lineno), set())
+    if len(toks) == 4:
+        pairs.add((want(toks[2], lineno), want(toks[3], lineno)))
+
+
+def _relations(relations: dict) -> tuple:
+    return tuple(sorted((n, frozenset(p)) for n, p in relations.items()))
 
 
 def _parse_nmodel_header(toks, lineno) -> tuple[str, int]:
@@ -329,14 +353,35 @@ def dump_general(g: GeneralModel, reference: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_block(m: HigherOrderModel) -> str | None:
+    """The body of a plain model block that loads back as the level-0 model
+    m (its relations le, and r if r has pairs), or None if there is none."""
+    rel = dict(m.relations)
+    try:
+        prop = PropModel(Frame(frozenset(m.object_names()), rel.get("le", frozenset())), m.val)
+    except ModelError:
+        return None
+    r = rel.get("r", frozenset())
+    same = from_birelational(prop.frame, r, m.val) if r else wrap_prop_model(prop)
+    return _block_body(prop.frame, r, m.val) if m == same else None
+
+
 def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
     if m.level == 0:
-        rel = dict(m.relations)
-        frame = Frame(frozenset(m.object_names()), rel.get("le", frozenset()))
-        return [f"model {name}", _block_body(frame, rel.get("r", frozenset()), m.val)]
-    lines = [f"nmodel {name} level {m.level}"]
-    for child_name, child in m.objects:
-        lines.extend(_higher_lines(child, child_name))
+        body = _plain_block(m)
+        if body is not None:
+            return [f"model {name}", body]
+        atoms: dict = {}
+        for w, atom in m.val:
+            atoms.setdefault(w, []).append(atom)
+        names = m.object_names()  # and a valuation's other worlds, which fail to load
+        lines = [f"model {name}", "worlds " + " ".join(names)]
+        lines += [f"val {w} : {' '.join(sorted(atoms.get(w, ())))}".rstrip()
+                  for w in names + sorted(atoms.keys() - set(names))]
+    else:
+        lines = [f"nmodel {name} level {m.level}"]
+        for child_name, child in m.objects:
+            lines.extend(_higher_lines(child, child_name))
     for rel_name, pairs in m.relations:
         lines += [f"rel {rel_name} {a} {b}" for a, b in sorted(pairs)] or [f"rel {rel_name}"]
     lines.append("end")
@@ -344,4 +389,8 @@ def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
 
 
 def dump_higher(m: HigherOrderModel, name: str = "H") -> str:
+    """An nmodel file of m.  A level-0 model is no nmodel block: ValueError."""
+    if m.level == 0:
+        raise ValueError("dump_higher writes models of level 1 and above; "
+                         "a level-0 model is a plain model block")
     return "\n".join(_higher_lines(m, name)) + "\n"

@@ -91,6 +91,24 @@ def random_order(rng: random.Random, worlds: list) -> Frame:
     return Frame(frozenset(worlds), naive_closure(worlds, random_generators(rng, worlds)))
 
 
+def cluster_generators(rng: random.Random, worlds: list) -> list:
+    """Sparse generators whose strongly connected components are clusters of
+    1-4 worlds, each closed by a cycle, joined by edges from earlier to later
+    clusters of a random order; with many clusters, components with two or
+    more successor components (diamonds) are common."""
+    ws = list(worlds)
+    rng.shuffle(ws)
+    clusters, i = [], 0
+    while i < len(ws):
+        clusters.append(ws[i:i + rng.randint(1, 4)])
+        i += len(clusters[-1])
+    gens = [(a, b) for c in clusters if len(c) > 1 for a, b in zip(c, c[1:] + c[:1])]
+    for i, c in enumerate(clusters):
+        gens += [(rng.choice(c), rng.choice(d)) for d in clusters[i + 1:] if rng.random() < 0.3]
+    rng.shuffle(gens)
+    return gens
+
+
 def random_valuation(rng: random.Random, frame: Frame, atoms: list[str]) -> frozenset:
     pairs = set()
     for atom in atoms:

@@ -9,7 +9,7 @@ import imk.cli as cli
 from imk import build_frame, build_prop_model, evaluate, general_model, lift, parse
 from imk.general import HomogeneousModel
 from imk.flatten import flatten
-from imk.higher import PolicyGapError
+from imk.higher import HigherOrderModel, PolicyGapError, from_birelational
 from imk.modelfile import (ModelFileError, dump_birelational, dump_general,
                            dump_higher, dump_prop_model, loads)
 from imk.search import SearchBounds, enumerate_models
@@ -157,6 +157,38 @@ class TestRoundTrip:
         m = lift(h)
         assert loads(dump_higher(m)).as_higher() == m
 
+    def test_level_zero_relations_round_trip(self):
+        """A level-0 object keeps every relation, an empty r or one named s
+        too, as rel lines in its block; a plain one keeps its plain block."""
+        point = from_birelational(build_frame({"w"}, ()), frozenset(), frozenset())
+        extra = HigherOrderModel(0, (("w", None), ("v", None)),
+                                 (("le", frozenset({("w", "w"), ("v", "v")})),
+                                  ("s", frozenset({("w", "v")}))), frozenset({("v", "p")}))
+        for bottom in (point, extra):
+            m = HigherOrderModel(1, (("K", bottom),), (("succ", frozenset({("K", "K")})),))
+            text = dump_higher(m)
+            assert "rel" in text.split("model K\n")[1].split("end")[0]
+            assert loads(text).as_higher() == m and dump_higher(loads(text).as_higher()) == text
+        assert "rel r\n" in dump_higher(HigherOrderModel(1, (("K", point),),
+                                                           (("succ", frozenset()),)))
+        assert dump_higher(loads(NESTED).as_higher()) == NESTED
+
+    def test_level_zero_alone_is_refused(self):
+        with pytest.raises(ValueError, match="level 1 and above"):
+            dump_higher(from_birelational(build_frame({"w"}, ()), frozenset(), frozenset()))
+
+    def test_rel_lines_in_model_blocks(self):
+        with_rel = NESTED.replace("worlds w1\nval w1 :\n", "worlds w1\nval w1 :\nrel le w1 w1\n", 1)
+        assert dict(loads(with_rel).as_higher().objects)["K1"].relations == \
+            (("le", frozenset({("w1", "w1")})),)
+        for bad, message in ((with_rel.replace("rel le w1 w1", "rel le w1 w1\nle w1 w1"),
+                              "no le or r lines"),
+                             (with_rel.replace("rel le w1 w1", "rel le w1 w9"), "not an object"),
+                             (with_rel.replace("rel le w1 w1", "rel le W w1"), "bad world id"),
+                             (BIREL.replace("end", "rel le w w\nend"), "unexpected 'rel'")):
+            with pytest.raises(ModelFileError, match=message):
+                loads(bad).as_higher() if "nmodel" in bad else loads(bad)
+
     def test_enumerated_models_round_trip(self):
         for m in enumerate_models(SearchBounds("prop", 2, 2)):
             assert loads(dump_prop_model(m)).as_prop_model() == m
@@ -191,11 +223,29 @@ def _model_text(m) -> str:
     return dump_prop_model(m)
 
 
+def _vary_bottoms(m, rng: random.Random):
+    """m with each level-0 object given, at random, an empty relation r, an
+    extra relation s, or neither."""
+    if m.level > 0:
+        return HigherOrderModel(m.level, tuple((k, _vary_bottoms(c, rng)) for k, c in m.objects),
+                                m.relations)
+    names = m.object_names()
+    extra = rng.choice([(), (("r", frozenset()),), (("s", frozenset(
+        (a, b) for a in names for b in names if rng.random() < 0.4)),)])
+    return HigherOrderModel(0, m.objects, m.relations + extra, m.val)
+
+
+def _layered(seed: int, level: int, relations: int, vary: bool):
+    m = random_layered_model(random.Random(seed), level, max_objects=2 + (level == 1),
+                             relations=relations)
+    return _vary_bottoms(m, random.Random(seed)) if vary else m
+
+
 def layered_models():
-    """Level-1 and level-2 models with one or two top relations."""
-    return st.builds(lambda seed, level, relations: random_layered_model(
-        random.Random(seed), level, max_objects=2 + (level == 1), relations=relations),
-        st.integers(0, 2 ** 16), st.integers(1, 2), st.integers(1, 2))
+    """Level-1 and level-2 models with one or two top relations, whose
+    level-0 objects may carry an empty or an extra relation."""
+    return st.builds(_layered, st.integers(0, 2 ** 16), st.integers(1, 2), st.integers(1, 2),
+                     st.booleans())
 
 
 @st.composite
