@@ -20,7 +20,7 @@ from .general import (GeneralModel, HomogeneousModel, InvalidModelClassError,
                       PartialModel, as_homogeneous, as_partial,
                       entails_homogeneous, entails_partial,
                       validate_homogeneous, validate_partial)
-from .kripke import _numbering, _row_frame, points
+from .kripke import _frame, _numbering, points
 from .memo import Record
 
 __all__ = ["FlatWorld", "Disagreement", "EquivalenceReport",
@@ -49,7 +49,7 @@ def flatten(g: GeneralModel) -> BirelationalModel:
                   if w in g.submodel(b).frame.worlds)
     val = frozenset((FlatWorld(w, k), atom)
                     for k, m in g.submodels for w, atom in m.val)
-    return BirelationalModel(_row_frame(worlds, index, up), r, val)
+    return BirelationalModel(_frame(worlds, index, up), r, val)
 
 
 def verify_flatten_class(g: GeneralModel) -> list[ConditionReport]:

@@ -26,7 +26,8 @@ from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import HomogeneousModel
-from .kripke import Frame, Kernel, ModelError, PropModel, label_masks, relation_masks
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, label_masks,
+                     relation_masks, world_key)
 from .memo import Record, cached
 
 __all__ = [
@@ -77,6 +78,10 @@ class HigherOrderModel(Record):
                         f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object")
         if self.level > 0 and self.val:
             raise ModelError("only level-0 models carry a valuation")
+        for w, _ in self.val:
+            if w not in names:  # report the least unknown world
+                raise UnknownWorldError(min((v for v, _ in self.val if v not in names),
+                                            key=world_key))
 
     def object_names(self) -> list[str]:
         return [n for n, _ in self.objects]

@@ -72,25 +72,29 @@ def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
     return frozenset((names[i], names[j]) for i, row in enumerate(up) for j in points(row))
 
 
-def _close(gens: list[int]) -> tuple[list[int], list[int]]:
-    """The reflexive-transitive closure of the generator rows gens, and the
-    points in the order their components closed: sinks first, a component's
-    points side by side.  Tarjan's algorithm without recursion; a component
+def _close(gens: list[int]) -> tuple[list[int], list[tuple]]:
+    """The reflexive-transitive closure of the generator rows gens, and its
+    plan: the components in the order they closed, sinks first, as one step
+    (a, mates, succ) per point.  A component's first step holds its other
+    points as mates and, as succ, the first steps of the components its
+    generators reach, bar those that one listed reaches; each mate's step
+    reads the first step.  Tarjan's algorithm without recursion; a component
     is closed from those it reaches, one row operation per generator
     (Purdom 1970; Nuutila 1995)."""
     n = len(gens)
     num, low = [0] * n, [0] * n  # depth-first number from 1 (0: unseen), lowlink
-    todo, up, order = list(gens), [0] * n, []
+    todo, up, plan = list(gens), [0] * n, []
     stack: list[int] = []  # finished points whose component is still open
-    # done holds the closed points; a closed point's num is never below a lowlink
+    # done holds the closed points; a closed point's num is closed plus its
+    # component's first step, never below a lowlink
     count, closed, done = 0, n + 1, 0
     for root in range(n):
         if num[root]:
             continue
         bit = 1 << root
         if not gens[root] & ~bit:  # a sink: closed at once
-            num[root], up[root], done = closed, bit, done | bit
-            order.append(root)
+            num[root], up[root], done = closed + len(plan), bit, done | bit
+            plan.append((root, (), ()))
             continue
         count += 1
         num[root] = low[root] = count
@@ -111,8 +115,8 @@ def _close(gens: list[int]) -> tuple[list[int], list[int]]:
                     path.append(w)
                     break
                 else:  # a sink, as above
-                    num[w], up[w], done = closed, bit, done | bit
-                    order.append(w)
+                    num[w], up[w], done = closed + len(plan), bit, done | bit
+                    plan.append((w, (), ()))
             else:
                 path.pop()
                 if low[v] < num[v]:  # v is not its component's root: it waits on the stack
@@ -120,47 +124,22 @@ def _close(gens: list[int]) -> tuple[list[int], list[int]]:
                     if low[v] < low[path[-1]]:
                         low[path[-1]] = low[v]
                     continue
-                members, mask, row = [v], 1 << v, gens[v]
+                mates, mask, row = [], 1 << v, gens[v]
                 while stack and num[stack[-1]] > num[v]:  # the rest of v's component
-                    members.append(stack.pop())
-                    mask, row = mask | 1 << members[-1], row | gens[members[-1]]
-                out, row = row & ~mask, row | mask
+                    mates.append(stack.pop())
+                    mask, row = mask | 1 << mates[-1], row | gens[mates[-1]]
+                out, row, succ = row & ~mask, row | mask, []
                 while out:  # a point above one seen needs no second look
-                    above = up[(out & -out).bit_length() - 1]
-                    row, out = row | above, out & ~above
-                for i in members:
-                    num[i], up[i] = closed, row
-                order += members
-                done |= mask
-    return up, order
-
-
-def _plan(up: list[int], gens: list[int], order: list[int]) -> list[tuple]:
-    """The components of the generator rows gens in _close's order, as one
-    step (a, mates, succ) per point.  A component's first step holds its
-    other points as mates and, as succ, the first steps of the components
-    its generators reach, bar those that one listed reaches; each mate's
-    step reads the first step."""
-    plan: list[tuple] = []
-    head, at, prev = [0] * len(up), 0, -1  # head: each point's first step
-    for a in order:
-        row, succ, out = up[a], [], gens[a]
-        while out:
-            j = (out & -out).bit_length() - 1
-            if up[j] == row:  # one component's points share their up row
-                out ^= 1 << j
-            else:
-                succ.append(head[j])
-                out &= ~up[j]
-        if row == prev:
-            plan[at][1].append(a)
-            plan[at][2].extend(succ)
-            plan.append((a, (), (at,)))
-        else:
-            at, prev = len(plan), row
-            plan.append((a, [], succ))
-        head[a] = at
-    return plan
+                    j = (out & -out).bit_length() - 1
+                    succ.append(num[j] - closed)
+                    row, out = row | up[j], out & ~up[j]
+                at = len(plan)
+                num[v], up[v], done = closed + at, row, done | mask
+                plan.append((v, mates, succ))
+                for b in mates:
+                    num[b], up[b] = closed + at, row
+                    plan.append((b, (), (at,)))
+    return up, plan
 
 
 def _turn(plan: list[tuple]) -> list[tuple]:
@@ -230,9 +209,10 @@ def _numbering(worlds: Iterable[World]) -> dict:
 class Frame(Record):
     """A finite preorder.  compiled is (index, up): each world's number, its
     place in world_key order, and for each number the bitmask of the worlds
-    at or above it.  Frame(worlds, le) checks the pairs (a, b) with a <= b it
-    is given; build_frame closes generator rows and keeps them, sub_frame
-    and flatten start from closed rows, and all spell le out on first read.
+    at or above it; plan is the plan of the pass that closed the rows.
+    Every frame closes its generator rows once, at construction: those of
+    build_frame's pairs, the pairs that Frame(worlds, le) checks, or the
+    closed rows of sub_frame and flatten.  le is spelled out on first read.
     Frames are immutable and compare on (worlds, up)."""
 
     def __init__(self, worlds: frozenset, le: frozenset):
@@ -243,18 +223,16 @@ class Frame(Record):
                 a, b = min(p for p in le if p[0] not in worlds or p[1] not in worlds)
                 raise ModelError(f"le endpoint {a!r} or {b!r} is not a world")
         index = _numbering(worlds)
-        up, names = relation_masks(index, le), list(index)
-        for i, row in enumerate(up):
+        gens, names = relation_masks(index, le), list(index)
+        for i, row in enumerate(gens):
             if not row >> i & 1:
                 raise ModelError(f"le is not reflexive at {names[i]!r}")
-        for i, row in enumerate(up):  # transitive: up[j] lies inside up[i]
-            for j in points(row):
-                extra = up[j] & ~row
-                if extra:
-                    d = names[next(points(extra))]
-                    raise ModelError(f"le is not transitive: {names[i]!r} {names[j]!r} {d!r}")
-        set_field(self, "worlds", worlds)
-        set_field(self, "compiled", (index, tuple(up)))
+        up = _frame(worlds, index, gens, self).compiled[1]
+        for i, row in enumerate(gens):
+            if up[i] != row:  # the least row that grew holds a row not inside it
+                j = next(j for j in points(row) if gens[j] & ~row)
+                d = names[next(points(gens[j] & ~row))]
+                raise ModelError(f"le is not transitive: {names[i]!r} {names[j]!r} {d!r}")
         set_field(self, "le", le)
 
     def __eq__(self, other):
@@ -274,28 +252,13 @@ class Frame(Record):
         return frozenset((a, names[j]) for i, a in enumerate(names) for j in points(up[i]))
 
     @cached
-    def gens(self) -> list[int]:
-        """The generator rows: build_frame keeps its own, other frames take
-        their up rows.  order is _close's for them, plan _plan's, and the
-        coplan is the plan turned around."""
-        return list(self.compiled[1])
-
-    @cached
-    def order(self) -> list[int]:
-        return _close(self.gens)[1]
-
-    @cached
-    def plan(self) -> list[tuple]:
-        return _plan(self.compiled[1], self.gens, self.order)
-
-    @cached
     def coplan(self) -> list[tuple]:
         return _turn(self.plan)
 
     @cached
     def down(self) -> list[int]:
         """For each number, the bitmask of the worlds at or below it."""
-        return _image(self.coplan, [1 << i for i in range(len(self.gens))])
+        return _image(self.coplan, [1 << i for i in range(len(self.worlds))])
 
     @cached
     def partial_copy_of(self) -> dict:
@@ -311,11 +274,15 @@ class Frame(Record):
         return list(self.compiled[0])
 
 
-def _row_frame(worlds: frozenset, index: dict, up: list[int]) -> Frame:
-    """A frame on closed rows over index, a numbering in world_key order."""
-    frame = object.__new__(Frame)
+def _frame(worlds: frozenset, index: dict, gens: list[int], frame: Frame | None = None) -> Frame:
+    """The frame over worlds, numbered by index in world_key order, whose up
+    rows close the generator rows gens; the closing pass gives its plan."""
+    if frame is None:
+        frame = object.__new__(Frame)
+    up, plan = _close(gens)
     set_field(frame, "worlds", worlds)
     set_field(frame, "compiled", (index, tuple(up)))
+    set_field(frame, "plan", plan)
     return frame
 
 
@@ -333,11 +300,7 @@ def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame
                              "outside the world set") from None
     if not ws:
         raise ModelError("a frame needs at least one world")
-    up, order = _close(gens)
-    frame = _row_frame(ws, index, up)
-    set_field(frame, "gens", gens)
-    set_field(frame, "order", order)
-    return frame
+    return _frame(ws, index, gens)
 
 
 class Kernel:
@@ -517,4 +480,4 @@ def sub_frame(frame: Frame, kept: frozenset) -> Frame:
         return Frame(kept, frozenset((w, w) for w in kept & frame.worlds))
     index = {w: i for i, w in enumerate(w for w in frame.compiled[0] if w in kept)}
     rows = [sum(1 << index[v] for v in frame.above(w) if v in index) for w in index]
-    return _row_frame(frozenset(kept), index, rows)
+    return _frame(frozenset(kept), index, rows)

@@ -374,10 +374,9 @@ def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
         atoms: dict = {}
         for w, atom in m.val:
             atoms.setdefault(w, []).append(atom)
-        names = m.object_names()  # and a valuation's other worlds, which fail to load
+        names = m.object_names()
         lines = [f"model {name}", "worlds " + " ".join(names)]
-        lines += [f"val {w} : {' '.join(sorted(atoms.get(w, ())))}".rstrip()
-                  for w in names + sorted(atoms.keys() - set(names))]
+        lines += [f"val {w} : {' '.join(sorted(atoms.get(w, ())))}".rstrip() for w in names]
     else:
         lines = [f"nmodel {name} level {m.level}"]
         for child_name, child in m.objects:

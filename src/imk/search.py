@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from functools import lru_cache
 from typing import Iterator
 
 from .birelational import _RANK, BirelationalModel, classify, forces_ik, forces_mk
 from .formulas import Atom, Formula
 from .general import (GeneralModel, HomogeneousModel, PartialModel,
                       forces_homogeneous, forces_partial)
-from .kripke import Frame, PropModel, closure, forces, sub_frame
+from .kripke import Frame, PropModel, build_frame, forces, sub_frame
 from .memo import Record
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
@@ -28,8 +27,8 @@ __all__ = ["SearchBounds", "SearchOutcome", "LOGICS",
 
 LOGICS = ("prop", "ik", "mk", "partial", "homogeneous", "classicalK")
 
-# Preorders are precomputed from all generator subsets; past 4 points the
-# 2^(n^2-n) closure sweep stops being a sensible way to do this.
+# Each enumeration builds its preorders from all generator subsets; past 4
+# points the 2^(n^2-n) sweep of build_frame stops being a sensible way to do this.
 MAX_ENUMERABLE_WORLDS = 4
 
 
@@ -61,21 +60,14 @@ def _world_names(n: int) -> list[str]:
     return [f"w{i}" for i in range(1, n + 1)]
 
 
-@lru_cache(maxsize=8)
-def _preorders(n: int) -> tuple:
-    """All preorders over w1..wn, canonically ordered."""
+def _frames(n: int) -> list[Frame]:
+    """All preorders over w1..wn, from every generator subset, ordered by
+    their sorted pair lists."""
     worlds = _world_names(n)
     off_diag = [(a, b) for a in worlds for b in worlds if a != b]
-    seen = set()
-    for bits in itertools.product((False, True), repeat=len(off_diag)):
-        gens = [p for p, keep in zip(off_diag, bits) if keep]
-        seen.add(closure(worlds, gens))
-    return tuple(sorted(seen, key=lambda rel: sorted(rel)))
-
-
-def _frames(n: int) -> list[Frame]:
-    worlds = frozenset(_world_names(n))
-    return [Frame(worlds, le) for le in _preorders(n)]
+    frames = {build_frame(worlds, itertools.compress(off_diag, bits))
+              for bits in itertools.product((False, True), repeat=len(off_diag))}
+    return sorted(frames, key=lambda frame: sorted(frame.le))
 
 
 def _up_sets(frame: Frame, nonempty: bool = False) -> list[frozenset]:

@@ -13,7 +13,7 @@ from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond, FlatWorld,
                  GeneralModel, HigherOrderModel, HomogeneousModel, Implies,
                  Not, Or, PartialModel, PropModel, general_model,
                  wrap_prop_model)
-from imk.kripke import Frame
+from imk.kripke import Frame, world_key
 
 
 # --- formulas ---------------------------------------------------------------
@@ -74,6 +74,28 @@ def naive_closure(worlds, pairs) -> frozenset:
                 stack.extend(succ.get(b, ()))
         rel.update((a, b) for b in reach)
     return frozenset(rel)
+
+
+def naive_frame_error(worlds, le) -> str | None:
+    """The message of the error Frame(worlds, le) raises, or None, from a
+    walk over the pairs: an endpoint outside worlds (the least pair), then
+    reflexivity, then transitivity (the least a, then b, then d with a <= b,
+    b <= d and not a <= d), worlds taken in sorted order."""
+    if not worlds:
+        return "a frame needs at least one world"
+    bad = [p for p in le if p[0] not in worlds or p[1] not in worlds]
+    if bad:
+        return "le endpoint {!r} or {!r} is not a world".format(*min(bad))
+    names = sorted(worlds, key=world_key)
+    for w in names:
+        if (w, w) not in le:
+            return f"le is not reflexive at {w!r}"
+    for a in names:
+        for b in names:
+            for d in names:
+                if (a, b) in le and (b, d) in le and (a, d) not in le:
+                    return f"le is not transitive: {a!r} {b!r} {d!r}"
+    return None
 
 
 def random_frame(rng: random.Random, max_worlds: int) -> Frame:

@@ -1,27 +1,33 @@
 """Frames closed over the strongly connected components of their generators.
 
-build_frame closes its generators in one pass over their components, sinks
-first; a frame's plan (its components in that order, each with the
-components its generators reach) then drives down, IK's box rows and the
-walks of F1-F4.  A pair-built frame takes its own up rows as generators.
-These tests check all of it against the pair oracles of tests/gen.py, on
-sparse generators with cycles (clusters) and with diamonds, 1-40 worlds.
+Every frame closes its generator rows in one pass over their components,
+sinks first, when it is made; the plan of that pass (its components in that
+order, each with the components its generators reach) then drives down,
+IK's box rows and the walks of F1-F4.  build_frame's generators are its
+pairs, Frame(worlds, le) takes the pairs it checks, and sub_frame and
+flatten take closed rows.  These tests check all four against the pair
+oracles of tests/gen.py, on sparse generators with cycles (clusters) and
+with diamonds, 1-40 worlds (up to 80 flat worlds).
 """
 
 import random
 
 import pytest
 
-from imk import BirelationalModel, build_frame, check_condition, classify, parse
+from imk import (BirelationalModel, FlatWorld, PropModel, build_frame, check_condition,
+                 classify, flatten, general_model, parse)
 from imk.birelational import CONDITIONS
-from imk.kripke import Frame, _image
+from imk.kripke import Frame, _image, sub_frame
 
 from gen import (cluster_generators, naive_class, naive_closure, naive_condition,
                  naive_ik_forces, random_valuation)
 
 
 def _frames(seed: int, sizes) -> list:
-    """(worlds, generators, build_frame frame, pair-built frame) per size."""
+    """(worlds, generators, build_frame frame, pair-built frame) per size;
+    then, for every third of those, (kept worlds, their restricted order,
+    sub_frame of each) and (flat worlds, the members' orders, flatten of a
+    family on each frame and its sub_frame)."""
     rng = random.Random(seed)
     out = []
     for n in sizes:
@@ -29,6 +35,19 @@ def _frames(seed: int, sizes) -> list:
         gens = cluster_generators(rng, worlds)
         closed = naive_closure(worlds, gens)
         out.append((worlds, gens, build_frame(worlds, gens), Frame(frozenset(worlds), closed)))
+    for worlds, gens, frame, pairs in out[::3]:
+        kept = sorted(rng.sample(worlds, rng.randint(1, len(worlds))))
+        order = [(a, b) for a, b in sorted(naive_closure(worlds, gens))
+                 if a in kept and b in kept]
+        subs = [sub_frame(fr, frozenset(kept)) for fr in (frame, pairs)]
+        out.append((kept, order, *subs))
+        parts = (("K1", worlds, gens), ("K2", kept, order))
+        out.append(([FlatWorld(w, k) for k, ws, _ in parts for w in ws],
+                    [(FlatWorld(a, k), FlatWorld(b, k)) for k, _, ps in parts for a, b in ps],
+                    *(flatten(general_model({"K1": PropModel(fr, frozenset()),
+                                             "K2": PropModel(sub, frozenset())},
+                                            {("K1", "K2")})).frame
+                      for fr, sub in zip((frame, pairs), subs))))
     return out
 
 

@@ -6,14 +6,14 @@ import pytest
 from imk import (BOTTOM, build_frame, build_prop_model, entails, forces,
                  general_model, is_partial_copy, model_valid, parse,
                  upward_restrict, validate_homogeneous, HeredityError,
-                 ModelError, UnknownWorldError)
+                 HigherOrderModel, ModelError, UnknownWorldError)
 from imk.birelational import BirelationalModel
 from imk.kripke import (Frame, PropModel, UnsupportedConnectiveError, closure,
                         sub_frame, world_key)
 from imk.search import SearchBounds, enumerate_models
 
-from gen import (formula_pool, naive_closure, naive_forces, pair_partial_copy,
-                 pair_sub_frame, random_generators, random_order)
+from gen import (formula_pool, naive_closure, naive_forces, naive_frame_error,
+                 pair_partial_copy, pair_sub_frame, random_generators, random_order)
 
 
 @pytest.fixture
@@ -66,8 +66,9 @@ class TestBuildFrame:
 
 
 class TestRowBuiltFrames:
-    """build_frame keeps the closed rows and spells le out only when read;
-    Frame(worlds, le) starts from the pairs.  Both must be one frame."""
+    """build_frame closes its generator pairs and Frame(worlds, le) the pairs
+    it checks, each in one pass when made, and both spell le out only when
+    read.  Both must be one frame."""
 
     @pytest.fixture
     def generator_sets(self):
@@ -197,6 +198,9 @@ class TestLeastOffender:
         (lambda: Frame(frozenset("abcd"), frozenset(
             {(w, w) for w in "abcd"} | {("a", "b"), ("b", "c"), ("b", "d"), ("c", "d")})),
          "le is not transitive: 'a' 'b' 'c'"),
+        (lambda: Frame(frozenset("abc"), frozenset(
+            {("a", "a"), ("b", "b"), ("a", "b"), ("b", "c")})),
+         "le is not reflexive at 'c'"),
         (lambda: PropModel(build_frame("a", ()), frozenset({("z", "p"), ("x", "p"), ("y", "q")})),
          "unknown world 'x'"),
         (lambda: BirelationalModel(build_frame("a", ()),
@@ -205,12 +209,38 @@ class TestLeastOffender:
         (lambda: general_model({"K": build_prop_model(build_frame("a", ()), {})},
                                {("K", "X"), ("Y", "K"), ("K", "Z")}),
          "succ endpoint 'K' or 'X' is not a declared submodel"),
-    ], ids=["reflexive", "le_endpoint", "transitive", "val_world", "r_endpoint",
-            "succ_endpoint"])
+        (lambda: HigherOrderModel(0, (("w", None),), (("le", frozenset({("w", "w")})),),
+                                  frozenset({("w", "p"), ("ghost", "q")})),
+         "unknown world 'ghost'"),
+    ], ids=["reflexive", "le_endpoint", "transitive", "reflexive_first", "val_world",
+            "r_endpoint", "succ_endpoint", "level0_val_world"])
     def test_exact_message(self, build, message):
         with pytest.raises(ModelError) as info:
             build()
         assert str(info.value) == message
+
+    def test_frame_errors_match_the_pair_walk(self):
+        """Frame(worlds, le) closes the pairs and reports transitivity at the
+        least row that grew; the pair walk reports it at the least world
+        with a direct failure.  Pair sets over up to 5 worlds, dense enough
+        that about half close, some with an endpoint outside the worlds."""
+        rng = random.Random(59)
+        seen: dict = {}
+        for _ in range(2000):
+            worlds = frozenset(rng.sample("abcde", rng.randint(1, 5)))
+            ends = sorted(worlds) + ["z"] * (rng.random() < 0.1)
+            le = {(w, w) for w in worlds if rng.random() < 0.97}
+            le |= {(a, b) for a in ends for b in ends if rng.random() < 0.3}
+            want = naive_frame_error(worlds, le)
+            try:
+                Frame(worlds, frozenset(le))
+                got = None
+            except ModelError as exc:
+                got = str(exc)
+            assert got == want, (worlds, le)
+            kind = want and next(k for k in ("endpoint", "reflexive", "transitive") if k in want)
+            seen[kind] = seen.get(kind, 0) + 1
+        assert min(seen.values()) > 100 and len(seen) == 4
 
     def test_messages_under_other_hash_seeds(self):
         import os
