@@ -15,15 +15,14 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .birelational import (CONDITIONS, check_condition, class_of, classify,
-                           entails_ik, entails_mk)
+from .birelational import CONDITIONS, _kernel, check_condition, class_of, classify
 from .flatten import equivalence_report, flatten
 from .formulas import (Atom, Box, Diamond, Formula, ParseError, complexity,
                        parse, render)
-from .general import (GeneralModel, as_homogeneous, as_partial, entails_homogeneous,
-                      entails_partial, validate_homogeneous, validate_partial)
+from .general import (GeneralModel, as_homogeneous, as_partial, validate_homogeneous,
+                      validate_partial)
 from .higher import evaluate
-from .kripke import ModelError, entails
+from .kripke import ModelError
 from .modelfile import (Document, ModelFileError, dump_birelational, load_path)
 from .search import (LOGICS, SearchBounds, enumerate_models, find_countermodel,
                      serialize_model)
@@ -148,49 +147,41 @@ def _check_points(doc: Document, args):
 
     family = len(doc.models) > 1 or doc.succ or doc.reference is not None \
         or args.logic in ("partial", "homogeneous", "classicalK")
-    if family:
+    if family:  # each branch picks the kernel and the (label, point) pairs --at selects
         if args.logic in ("prop", "ik", "mk"):
             raise UsageError(f"--logic {args.logic} needs a single-model file; "
                              "families use partial, homogeneous or classicalK")
         g = doc.as_general()
-        kind = _family_kind(g, args)
-        if kind == "partial":
-            model = as_partial(g, doc.reference)
-            ent = entails_partial
-        else:
-            model = as_homogeneous(g)
-            ent = entails_homogeneous
-        cells = [(k, w) for k, w in g.cells()
-                 if (at_sub is None or k == at_sub)
-                 and (at_world is None or w == at_world)]
-        if not cells:
+        model = as_partial(g, doc.reference) if _family_kind(g, args) == "partial" \
+            else as_homogeneous(g)
+        labelled = [(f"{k}:{w}", (k, w)) for k, w in g.cells()
+                    if (at_sub is None or k == at_sub)
+                    and (at_world is None or w == at_world)]
+        if not labelled:
             raise UsageError("--at does not match any (submodel, world) cell")
-        for k, w in cells:
-            yield f"{k}:{w}", ent(model, k, w, gamma, f)
-        return
-
-    raw = doc.single_model()
-    logic = args.logic or ("ik" if raw.r else "prop")
-    if at_sub is not None:
-        raise UsageError("--at <world>:<submodel> needs a family file")
-    if logic == "prop":
-        if raw.r:
-            raise UsageError("model has r edges; pick --logic ik or mk")
-        m = raw.to_prop_model()
-        ent = lambda w: entails(m, w, gamma, f)
-    elif logic in ("ik", "mk"):
-        bm = raw.to_birelational()
-        ent = (lambda w: entails_ik(bm, w, gamma, f)) if logic == "ik" \
-            else (lambda w: entails_mk(bm, w, gamma, f))
-        m = bm
+        kernel = model.kernel
     else:
-        raise UsageError(f"logic {logic!r} needs a family file")
-    worlds = [w for w in m.frame.sorted_worlds()
-              if at_world is None or w == at_world]
-    if not worlds:
-        raise UsageError(f"--at names an unknown world {at_world!r}")
-    for w in worlds:
-        yield str(w), ent(w)
+        raw = doc.single_model()
+        logic = args.logic or ("ik" if raw.r else "prop")
+        if at_sub is not None:
+            raise UsageError("--at <world>:<submodel> needs a family file")
+        if logic == "prop":
+            if raw.r:
+                raise UsageError("model has r edges; pick --logic ik or mk")
+            m = raw.to_prop_model()
+        elif logic in ("ik", "mk"):
+            m = raw.to_birelational()
+        else:
+            raise UsageError(f"logic {logic!r} needs a family file")
+        labelled = [(str(w), w) for w in m.frame.sorted_worlds()
+                    if at_world is None or w == at_world]
+        if not labelled:
+            raise UsageError(f"--at names an unknown world {at_world!r}")
+        kernel = m.kernel if logic == "prop" else \
+            _kernel(m, "strong" if logic == "mk" else "birelational", True)
+    mask = kernel.entailed(gamma, f)
+    for label, point in labelled:
+        yield label, mask >> kernel.index[point] & 1 == 1
 
 
 def _cmd_check(args) -> int:

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .birelational import (BirelationalModel, ConditionReport, check_condition,
-                           entails_ik, entails_mk)
+from .birelational import BirelationalModel, ConditionReport, _kernel, check_condition
 from .formulas import Formula, render
 from .general import (GeneralModel, HomogeneousModel, InvalidModelClassError,
                       PartialModel, as_homogeneous, as_partial,
-                      entails_homogeneous, entails_partial,
                       validate_homogeneous, validate_partial)
 from .kripke import _frame, _numbering, points
 from .memo import Record
@@ -90,26 +88,24 @@ def equivalence_report(g: GeneralModel, formulas: Sequence[Formula],
         if not validate_homogeneous(g):
             raise InvalidModelClassError("MK comparison needs a homogeneous model")
         family: HomogeneousModel | PartialModel = as_homogeneous(g)
-        family_entails, flat_entails = entails_homogeneous, entails_mk
     elif logic == "ik":
         if validate_partial(g) is None:
             raise InvalidModelClassError("IK comparison needs a partial model")
         family = as_partial(g)
-        family_entails, flat_entails = entails_partial, entails_ik
     else:
         raise ValueError(f"logic must be 'ik' or 'mk', not {logic!r}")
 
     flat = flatten(g)
-    gammas = [tuple(gset) for gset in gammas]
-    cases = 0
-    bad = []
-    for k, w in g.cells():
-        for gset in gammas:
-            for f in formulas:
-                lhs = family_entails(family, k, w, gset, f)
-                rhs = flat_entails(flat, FlatWorld(w, k), gset, f)
-                cases += 1
-                if lhs != rhs:
-                    bad.append(Disagreement(k, w, tuple(render(x) for x in gset),
-                                            render(f), lhs, rhs))
-    return EquivalenceReport(logic, cases, tuple(bad))
+    rank = "strong" if logic == "mk" else "birelational"
+    cases = [(tuple(gset), f) for gset in gammas for f in formulas]
+    masks = [(family.kernel.entailed(gset, f), _kernel(flat, rank, True).entailed(gset, f))
+             for gset, f in cases]
+    at, cells, bad = flat.frame.compiled[0], g.cells(), []
+    for i, (k, w) in enumerate(cells):  # the family kernel numbers cells in this order
+        j = at[FlatWorld(w, k)]
+        for (gset, f), (lhs, rhs) in zip(cases, masks):
+            lhs, rhs = lhs >> i & 1 == 1, rhs >> j & 1 == 1
+            if lhs != rhs:
+                bad.append(Disagreement(k, w, tuple(render(x) for x in gset),
+                                        render(f), lhs, rhs))
+    return EquivalenceReport(logic, len(cells) * len(cases), tuple(bad))

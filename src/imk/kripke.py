@@ -24,7 +24,7 @@ from .memo import Record, cached, set_field
 __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
-    "build_frame", "build_prop_model", "closure", "relation_masks", "label_masks",
+    "build_frame", "build_prop_model", "relation_masks", "label_masks",
     "points", "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "sub_frame", "world_key",
 ]
@@ -56,20 +56,6 @@ class UnsupportedConnectiveError(ModelError):
 def world_key(w: World):
     """Sort key that works for both string worlds and tuple-shaped worlds."""
     return tuple(w) if isinstance(w, tuple) else (w,)
-
-
-def closure(worlds: Iterable[World], pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Reflexive-transitive closure of pairs over the given world set, from
-    one pass over the strongly connected components of the pairs."""
-    worlds, pairs = list(worlds), list(pairs)
-    names = list(dict.fromkeys([*worlds, *(x for pair in pairs for x in pair)]))
-    index = {x: i for i, x in enumerate(names)}
-    gens = relation_masks(index, pairs)
-    up, kept = _close(gens)[0], set(worlds)
-    for i, name in enumerate(names):  # an endpoint outside worlds is above itself only on a cycle
-        if name not in kept and not any(up[j] >> i & 1 for j in points(gens[i])):
-            up[i] ^= 1 << i
-    return frozenset((names[i], names[j]) for i, row in enumerate(up) for j in points(row))
 
 
 def _close(gens: list[int]) -> tuple[list[int], list[tuple]]:
@@ -368,20 +354,34 @@ class Kernel:
                 out |= 1 << i
         return out
 
+    def entailed(self, gamma: Iterable[Formula], f: Formula) -> int:
+        """Bitmask of the points where gamma entails f: f's extension when
+        gamma is empty, else the points whose up row misses every point that
+        forces all of gamma and not f, memoised under the key of the -> node
+        with that mask.  Reads gamma in order, then f."""
+        premises = [self.extension(g) for g in gamma]
+        ext = self.extension(f)
+        if not premises:
+            return ext
+        key = (Implies, reduce(and_, premises) & ~ext)
+        hit = self._nodes.get(key)
+        if hit is None:
+            hit = self._nodes[key] = self._select(*key)
+        return hit
+
     def entails(self, p, gamma: Iterable[Formula], f: Formula) -> bool:
         """Forcing of f at p when gamma is empty: one bit of f's memoised
-        extension.  Otherwise every point above p that forces all of gamma
-        forces f.  An unknown p raises UnknownWorldError."""
+        extension.  Otherwise one bit of entailed.  An unknown p raises
+        UnknownWorldError."""
         try:
             i = self.index[p]
         except KeyError:
             raise UnknownWorldError(p) from None
-        premises = [self.extension(g) for g in gamma] if gamma else None
+        if gamma:
+            return self.entailed(gamma, f) >> i & 1 == 1
         hit = self._roots.get(id(f))
         ext = hit[1] if hit is not None and hit[0] is f else self.extension(f)
-        if not premises:
-            return ext >> i & 1 == 1
-        return not self.up[i] & ~ext & reduce(and_, premises)
+        return ext >> i & 1 == 1
 
     def valid(self, gamma: Iterable[Formula], f: Formula, carrier: int = -1) -> bool:
         """entails at every point of carrier, all points by default, as one

@@ -14,11 +14,10 @@ import itertools
 import time
 from typing import Iterator
 
-from .birelational import _RANK, BirelationalModel, classify, forces_ik, forces_mk
+from .birelational import _RANK, BirelationalModel, classify
 from .formulas import Atom, Formula
-from .general import (GeneralModel, HomogeneousModel, PartialModel,
-                      forces_homogeneous, forces_partial)
-from .kripke import Frame, PropModel, build_frame, forces, sub_frame
+from .general import GeneralModel, HomogeneousModel, PartialModel
+from .kripke import Frame, PropModel, build_frame, sub_frame
 from .memo import Record
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
@@ -196,22 +195,6 @@ def _enumerate_homogeneous(b: SearchBounds, atoms: list[str],
                         yield HomogeneousModel(GeneralModel(submodels, succ))
 
 
-def _points(model) -> list[tuple[str | None, object]]:
-    if isinstance(model, (PartialModel, HomogeneousModel)):
-        return [(k, w) for k, w in model.general.cells()]
-    return [(None, w) for w in model.frame.sorted_worlds()]
-
-
-def _holds(model, k: str | None, w, f: Formula) -> bool:
-    if isinstance(model, PartialModel):
-        return forces_partial(model, k, w, f)
-    if isinstance(model, HomogeneousModel):
-        return forces_homogeneous(model, k, w, f)
-    if isinstance(model, BirelationalModel):
-        raise AssertionError("caller picks ik or mk")  # pragma: no cover
-    return forces(model, w, f)
-
-
 def serialize_model(model) -> str:
     """Canonical model-file text for anything enumerate_models yields."""
     if isinstance(model, PartialModel):
@@ -225,20 +208,30 @@ def serialize_model(model) -> str:
 
 def find_countermodel(f: Formula, gamma, b: SearchBounds) -> SearchOutcome:
     """First enumerated model with a point where all of gamma holds and f
-    fails, under the forcing relation of the requested class."""
+    fails, under the forcing relation of the requested class.  Each model's
+    kernel reads a premise only while some point forces the ones before it,
+    and the goal only if some point forces them all; the locus is the
+    lowest such point where f fails."""
     gamma = list(gamma)
     start = time.perf_counter()
     examined = 0
     alphabet = _query_alphabet([f, *gamma], b.max_atoms)
+    # ik and mk candidates are classified as they are enumerated
+    kernel_of = {"ik": "ik_kernel", "mk": "mk_kernel"}.get(b.logic, "kernel")
+    family = b.logic in ("partial", "homogeneous", "classicalK")
     for model in enumerate_models(b, atoms=alphabet):
         examined += 1
-        if isinstance(model, BirelationalModel):
-            point_holds = forces_ik if b.logic == "ik" else forces_mk
-            holds = lambda k, w, g: point_holds(model, w, g)
-        else:
-            holds = lambda k, w, g: _holds(model, k, w, g)
-        for k, w in _points(model):
-            if all(holds(k, w, g) for g in gamma) and not holds(k, w, f):
-                return SearchOutcome(True, serialize_model(model), (k, str(w)),
-                                     examined, time.perf_counter() - start)
+        kernel = getattr(model, kernel_of)
+        mask = kernel.full
+        for g in gamma:
+            if not mask:
+                break
+            mask &= kernel.extension(g)
+        if mask:
+            mask &= ~kernel.extension(f)
+        if mask:
+            point = list(kernel.index)[(mask & -mask).bit_length() - 1]
+            k, w = point if family else (None, point)
+            return SearchOutcome(True, serialize_model(model), (k, str(w)),
+                                 examined, time.perf_counter() - start)
     return SearchOutcome(False, None, None, examined, time.perf_counter() - start)

@@ -610,3 +610,42 @@ def naive_model_texts(logic: str, max_worlds: int, atoms: list[str],
                             for succ in _naive_relations(ids):
                                 yield "\n".join(blocks + tail + [f"succ {a} {b}" for a, b
                                                                   in sorted(succ)]) + "\n"
+
+
+def _naive_atoms(f) -> set:
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*(_naive_atoms(getattr(f, side)) for side in ("left", "right", "inner")
+                         if hasattr(f, side)))
+
+
+def naive_countermodel(f, gamma, logic: str, max_worlds: int, max_atoms: int = 1,
+                       max_submodels: int = 1):
+    """(found, model text, locus, models examined) of the bounded search for
+    a point where all of gamma holds and f fails: the point-by-point loop
+    over the texts of naive_model_texts, read back with modelfile.loads and
+    decided by the naive_*_forces oracles.  Points come in model-file order:
+    members by id, worlds by name.  The search alphabet is the query's own
+    atoms, sorted, the first max_atoms of them, padded with fresh p1, p2, ..."""
+    from imk.modelfile import loads
+    names = sorted(set().union(_naive_atoms(f), *map(_naive_atoms, gamma)))[:max_atoms]
+    fresh = (f"p{i}" for i in range(1, 2 * max_atoms + 1) if f"p{i}" not in names)
+    alphabet = sorted(names + [next(fresh) for _ in range(max_atoms - len(names))])
+    texts = naive_model_texts(logic, max_worlds, alphabet, max_submodels)
+    for examined, text in enumerate(texts, 1):
+        doc = loads(text)
+        if logic in ("prop", "ik", "mk"):
+            m = doc.as_prop_model() if logic == "prop" else doc.as_birelational()
+            oracle = {"prop": naive_forces, "ik": naive_ik_forces, "mk": naive_mk_forces}[logic]
+            points = [(None, w) for w in sorted(m.frame.worlds)]
+            holds = lambda k, w, x: oracle(m, w, x)
+        else:
+            general = doc.as_general()
+            m = PartialModel(general, "K1") if logic == "partial" else HomogeneousModel(general)
+            oracle = naive_partial_forces if logic == "partial" else naive_homogeneous_forces
+            points = [(k, w) for k, sub in general.submodels for w in sorted(sub.frame.worlds)]
+            holds = lambda k, w, x: oracle(m, k, w, x)
+        for k, w in points:
+            if all(holds(k, w, g) for g in gamma) and not holds(k, w, f):
+                return True, text, (k, w), examined
+    return False, None, None, examined

@@ -5,11 +5,18 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+import random
+
 import imk.cli as cli
+from gen import (formula_pool, homogeneous_corpus, partial_corpus, random_birelational,
+                 random_frame, random_valuation)
+from imk import (BirelationalModel, classify, entails, entails_homogeneous, entails_ik,
+                 entails_mk, entails_partial, flatten)
 from imk.cli import UsageError, main
 from imk.formulas import ParseError, complexity, parse, render
-from imk.kripke import HeredityError
-from imk.modelfile import ModelFileError
+from imk.kripke import HeredityError, PropModel
+from imk.modelfile import (ModelFileError, dump_birelational, dump_general, dump_prop_model,
+                           load_path)
 
 THREE_WORLD = """\
 model B
@@ -237,6 +244,86 @@ class TestCheckCommand:
         assert "single-model" in capsys.readouterr().err
 
 
+def _seeded_files(tmp_path) -> list[tuple[str, str]]:
+    """(logic, path) for seeded files of every kind that check reads: prop
+    models, random birelational models and flat images of partial and
+    homogeneous families under IK and MK, and the families themselves."""
+    rng = random.Random(41)
+    out = []
+    for i, (pm, hm) in enumerate(zip(partial_corpus(6, seed=43), homogeneous_corpus(6, seed=47))):
+        frame = random_frame(rng, 4)
+        prop = PropModel(frame, random_valuation(rng, frame, ["p1", "p2"]))
+        bm = random_birelational(rng, 4, 0.3)
+        while classify(bm) != "birelational":  # MK refuses these, IK reads them
+            bm = random_birelational(rng, 4, 0.3)
+        bm = BirelationalModel(bm.frame, bm.r, random_valuation(rng, bm.frame, ["p1", "p2"]))
+        texts = [("prop", dump_prop_model(prop)), ("ik", dump_birelational(bm)),
+                 ("ik", dump_birelational(flatten(pm.general))),
+                 ("ik", dump_birelational(flatten(hm.general))),
+                 ("mk", dump_birelational(flatten(hm.general))),
+                 ("partial", dump_general(pm.general, reference="K1")),
+                 ("homogeneous", dump_general(hm.general))]
+        for j, (logic, text) in enumerate(texts):
+            path = tmp_path / f"{i}-{j}.km"
+            path.write_text(text)
+            out.append((logic, str(path)))
+    return out
+
+
+def _point_calls(logic: str, path: str, gamma, f) -> list[tuple[str, bool]]:
+    """(label, verdict) from one entails* call per point of the file."""
+    doc = load_path(path)
+    if logic == "prop":
+        m = doc.as_prop_model()
+        return [(w, entails(m, w, gamma, f)) for w in m.frame.sorted_worlds()]
+    if logic in ("ik", "mk"):
+        m, ent = doc.as_birelational(), entails_ik if logic == "ik" else entails_mk
+        return [(w, ent(m, w, gamma, f)) for w in m.frame.sorted_worlds()]
+    g = doc.as_general()
+    m, ent = (cli.as_partial(g, "K1"), entails_partial) if logic == "partial" \
+        else (cli.as_homogeneous(g), entails_homogeneous)
+    return [(f"{k}:{w}", ent(m, k, w, gamma, f)) for k, w in g.cells()]
+
+
+class TestCheckAgainstPointCalls:
+    """check reads one mask per query; its verdicts are those of one point
+    call per point."""
+
+    def test_verdicts(self, tmp_path, capsys):
+        modal = formula_pool(8, 3, ["p1", "p2"], seed=53)
+        plain = formula_pool(8, 3, ["p1", "p2"], seed=59, modal=False)
+        checked = 0
+        for logic, path in _seeded_files(tmp_path):
+            pool = plain if logic == "prop" else modal
+            for i, f in enumerate(pool):
+                gamma = [pool[(i + 3 * j + 1) % len(pool)] for j in range(i % 3)]
+                argv = ["check", "--json", "--model", path, "--logic", logic,
+                        "--formula", render(f)]
+                if gamma:
+                    argv += ["--gamma", ";".join(map(render, gamma))]
+                assert main(argv) == 0
+                verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+                got = [(v["at"], v["value"]) for v in verdicts]
+                assert got == _point_calls(logic, path, gamma, f), argv
+                checked += len(got)
+        assert checked > 1000
+
+    def test_unknown_world_before_class(self, tmp_path, capsys):
+        path = tmp_path / "none.km"
+        path.write_text("model K\nworlds a b\nle a b\nr a a\nval a :\nval b :\nend\n")
+        argv = ["check", "--model", str(path), "--logic", "ik", "--formula", "p"]
+        assert main(argv + ["--at", "nowhere"]) == 1
+        assert capsys.readouterr().err == "error: --at names an unknown world 'nowhere'\n"
+        assert main(argv + ["--at", "a"]) == 1
+        assert "classifies as 'none'" in capsys.readouterr().err
+
+    def test_premises_are_read_first(self, tmp_path, capsys):
+        path = tmp_path / "prop.km"
+        path.write_text("model K\nworlds a\nval a : p\nend\n")
+        assert main(["check", "--model", str(path), "--gamma", "[]p", "--formula", "<>q"]) == 1
+        assert capsys.readouterr().err == "error: propositional models have no clause for Box\n"
+
+
 class TestFrameCheck:
     def test_reports(self, three_world, capsys):
         assert main(["frame-check", "--model", three_world]) == 0
@@ -383,6 +470,14 @@ class TestCountermodelCommand:
         assert main(["countermodel", "--formula", "p->p", "--logic", "prop",
                      "--max-worlds", "2", "--max-atoms", "1"]) == 0
         assert "no countermodel found within bounds" in capsys.readouterr().out
+
+    def test_unsatisfiable_premise_hides_the_goal(self, capsys):
+        argv = ["countermodel", "--logic", "prop", "--formula", "[]p"]
+        assert main(argv + ["--gamma", "_|_"]) == 0
+        assert capsys.readouterr().out == \
+            "no countermodel found within bounds (144 models examined)\n"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: propositional models have no clause for Box\n"
 
     def test_json(self, capsys):
         assert main(["countermodel", "--formula", "p|~p", "--logic", "prop",

@@ -2,8 +2,8 @@
 
 Point forcing and entailment, with and without premises, and validity on
 every semantics against the independent oracles of gen.py; the errors of
-the point checks; the per-formula memo; and closure against a set-based
-search."""
+the point checks; the per-formula memo; and the order of build_frame
+against a set-based closure."""
 
 import random
 
@@ -17,7 +17,7 @@ from imk import (BirelationalModel, UnknownWorldError, build_frame, build_prop_m
 from imk.birelational import NotBirelationalError, NotStrongError
 from imk.general import InvalidModelClassError, UnknownSubmodelError
 from imk.higher import BadPathError
-from imk.kripke import PropModel, closure
+from imk.kripke import PropModel
 
 from gen import (formula_pool, homogeneous_corpus, layered_points,
                  naive_closure, naive_family_entails, naive_forces,
@@ -260,15 +260,16 @@ class TestMemo:
 
 
 class TestClosure:
+    """build_frame's order against a set-based closure of its pairs."""
+
     def test_random_generators(self):
         rng = random.Random(99)
         for _ in range(300):
             n = rng.randint(1, 9)
             worlds = [f"w{i}" for i in range(n)]
-            ends = worlds + ["x", "y"]  # endpoints outside the world set too
-            pairs = [(rng.choice(ends), rng.choice(ends))
+            pairs = [(rng.choice(worlds), rng.choice(worlds))
                      for _ in range(rng.randint(0, 2 * n))]
-            assert closure(worlds, pairs) == naive_closure(worlds, pairs)
+            assert build_frame(worlds, pairs).le == naive_closure(worlds, pairs)
 
     def test_long_chains(self):
         rng = random.Random(100)
@@ -278,5 +279,5 @@ class TestClosure:
         for pairs in (chain, chain + [(worlds[-1], worlds[0])],
                       chain[::2] + [(rng.choice(worlds), rng.choice(worlds))
                                     for _ in range(50)]):
-            assert closure(iter(worlds), iter(pairs)) == naive_closure(worlds, pairs)
-        assert len(closure(worlds, chain)) == 200 * 201 // 2
+            assert build_frame(iter(worlds), iter(pairs)).le == naive_closure(worlds, pairs)
+        assert len(build_frame(worlds, chain).le) == 200 * 201 // 2

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from gen import naive_model_texts
-from imk import (SearchBounds, classify, enumerate_models, find_countermodel,
-                 forces, forces_ik, parse)
+from gen import formula_pool, naive_countermodel, naive_model_texts
+from imk import (SearchBounds, as_homogeneous, classify, enumerate_models,
+                 find_countermodel, forces, forces_homogeneous, forces_ik, parse)
 from imk.general import HomogeneousModel, PartialModel
-from imk.kripke import PropModel
+from imk.kripke import PropModel, UnsupportedConnectiveError
 from imk.modelfile import loads
 from imk.search import serialize_model
 
@@ -128,6 +128,15 @@ class TestFindCountermodel:
         k, w = out.locus
         assert forces(m, w, parse("p")) and not forces(m, w, parse("q"))
 
+    def test_locus_is_the_lowest_failing_point(self):
+        # no one-member family has a cell that sees both p and ~p, so the
+        # first countermodel has every cell seeing both: the goal fails at both
+        f = parse("~(<>p & <>~p & []<>p & []<>~p)")
+        out = find_countermodel(f, [], SearchBounds("classicalK", 1, 1, 2))
+        h = as_homogeneous(loads(out.model).as_general())
+        assert [forces_homogeneous(h, k, w, f) for k, w in h.general.cells()] == [False, False]
+        assert out.locus == ("K1", "w1")
+
     def test_reproducible(self):
         f = parse("p | ~p")
         a = find_countermodel(f, [], SearchBounds("prop", 2, 1))
@@ -149,6 +158,48 @@ class TestFindCountermodel:
                                 SearchBounds("homogeneous", 1, 1,
                                              max_submodels=2))
         assert out.found
+
+
+class TestAgainstNaiveSearch:
+    """find_countermodel against naive_countermodel: the point-by-point loop
+    over from-scratch model texts, with the clause-by-clause oracles."""
+
+    @pytest.mark.parametrize("logic, bounds", [
+        ("prop", (3, 1)), ("prop", (2, 2)), ("ik", (2, 2)), ("mk", (2, 2)),
+        ("partial", (2, 1, 2)), ("homogeneous", (2, 1, 2)), ("classicalK", (1, 2, 2))],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_same_outcome(self, logic, bounds):
+        pool = formula_pool(24, 3, ["p1", "p2"], seed=len(logic) + sum(bounds),
+                            modal=logic != "prop")
+        found = 0
+        for i, f in enumerate(pool):
+            gamma = [pool[(i + 5 * j + 1) % len(pool)] for j in range(i % 3)]
+            out = find_countermodel(f, gamma, SearchBounds(logic, *bounds))
+            want = naive_countermodel(f, gamma, logic, *bounds)
+            assert (out.found, out.model, out.locus, out.models_examined) == want, (f, gamma)
+            found += out.found
+        assert 0 < found < len(pool)
+
+
+class TestLazyPremises:
+    """A premise is read only while some point forces the ones before it,
+    and the goal only if some point forces them all: on propositional
+    models a box there raises only once it is read."""
+
+    def test_unsatisfiable_premise_hides_the_goal(self):
+        out = find_countermodel(parse("[]p"), [parse("_|_")], SearchBounds("prop", 2, 1))
+        assert not out.found and out.models_examined == 14
+
+    def test_goal_is_read_without_premises(self):
+        with pytest.raises(UnsupportedConnectiveError):
+            find_countermodel(parse("[]p"), [], SearchBounds("prop", 2, 1))
+
+    def test_premises_in_order(self):
+        b = SearchBounds("prop", 2, 1)
+        out = find_countermodel(parse("q"), [parse("_|_"), parse("[]q")], b)
+        assert not out.found
+        with pytest.raises(UnsupportedConnectiveError):
+            find_countermodel(parse("q"), [parse("p"), parse("[]q")], b)
 
 
 class TestAgainstNaiveEnumeration:
