@@ -134,8 +134,8 @@ def _check_points(doc: Document, args):
         if gamma:
             raise UsageError("--gamma is not supported for nmodel files")
         m = doc.as_higher()
-        if at_world:
-            path = [at_sub, at_world] if at_sub else [at_world]
+        if at_world:  # <world>:<object>:...:<top object>, a path read from its end
+            path = [*reversed(at_sub.split(":")), at_world] if at_sub else [at_world]
             yield ":".join(path), evaluate(m, path, f)
             return
         if m.level > 1:
@@ -324,7 +324,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="evaluate a formula on a model")
     common(p, model=True, formula=True)
     p.add_argument("--logic", choices=LOGICS)
-    p.add_argument("--at", help="<world> or <world>:<submodel>")
+    p.add_argument("--at", help="<world> or <world>:<submodel>; in nmodel files "
+                   "<world>:<object>:...:<top object>")
     p.add_argument("--as", dest="as_class", choices=("partial", "homogeneous"))
 
     p = sub.add_parser("frame-check", help="report conditions F1-F4")

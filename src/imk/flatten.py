@@ -41,10 +41,9 @@ def flatten(g: GeneralModel) -> BirelationalModel:
         at = [index[FlatWorld(w, k)] for w in names]
         for i, row in enumerate(rows):
             up[at[i]] = sum(1 << at[j] for j in points(row))
-    r = frozenset((FlatWorld(w, a), FlatWorld(w, b))
-                  for a, b in g.succ
-                  for w in g.submodel(a).frame.worlds
-                  if w in g.submodel(b).frame.worlds)
+    members = dict(g.submodels)
+    r = frozenset((FlatWorld(w, a), FlatWorld(w, b)) for a, b in g.succ
+                  for w in members[a].worlds & members[b].worlds)
     val = frozenset((FlatWorld(w, k), atom)
                     for k, m in g.submodels for w, atom in m.val)
     return BirelationalModel(_frame(worlds, index, up), r, val)

@@ -144,18 +144,19 @@ def _cell_kernel(g: GeneralModel, reference: Frame | None = None) -> Kernel:
     cells: dict = {}
     up: list[int] = []
     atoms: dict[str, int] = {}
-    start = {}  # member -> its first cell
+    start = {}  # member -> its first cell and its world numbers
     for k, m in g.submodels:
-        start[k] = offset = len(up)
+        offset = len(up)
         worlds, rows = m.frame.compiled
+        start[k] = offset, worlds
         cells.update({(k, w): offset + i for w, i in worlds.items()})
         up += [row << offset for row in rows]
         for atom, mask in m.atom_masks.items():
             atoms[atom] = atoms.get(atom, 0) | mask << offset
     box, dia = [0] * len(up), [0] * len(up)
     for k, k2 in g.succ:
-        there, here, offset = g.submodel(k2).frame.compiled[0], start[k], start[k2]
-        for w, i in g.submodel(k).frame.compiled[0].items():
+        (here, worlds), (offset, there) = start[k], start[k2]
+        for w, i in worlds.items():
             j = there.get(w)
             if j is not None:
                 dia[here + i] |= 1 << offset + j

@@ -15,9 +15,12 @@ relation named "le" must be a preorder with a hereditary valuation.  This
 fixes one reading of the level-n semantics; levels above 1 are exploratory
 surface and carry no guarantees beyond the documented rules.
 
-A model is compiled once onto ``kripke.Kernel``.  A shift may reach a path
-the model lacks; where some order of reading the clauses lazily would meet
-such a shift, ``evaluate`` raises instead of letting the order decide.
+Under these rules a level-n model is the mk family of its level-0 models,
+one member per path prefix, linked by the top relation; relations below
+the top level are checked but never read.  A model is compiled once, as
+that family's cell kernel.  A shift may reach a path the model lacks;
+where some order of reading the clauses lazily would meet such a shift,
+``evaluate`` raises instead of letting the order decide.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
-from .general import HomogeneousModel
-from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, label_masks,
-                     relation_masks, world_key)
+from .general import GeneralModel, HomogeneousModel, _cell_kernel
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, points,
+                     world_key)
 from .memo import Record, cached
 
 __all__ = [
@@ -93,6 +96,16 @@ class HigherOrderModel(Record):
         raise ModelError(f"no relation named {name!r}")
 
     @cached
+    def prop(self) -> PropModel:
+        """A level-0 model as the propositional model over its relation le."""
+        if self.level:
+            raise ModelError("only a level-0 model is a propositional model")
+        pairs = dict(self.relations).get("le")
+        if pairs is None:
+            raise PolicyGapError("level-0 evaluation needs a relation named 'le'")
+        return PropModel(Frame(frozenset(self.object_names()), pairs), self.val)
+
+    @cached
     def kernel(self) -> "_LayeredKernel":
         """Compiled on first use; a malformed bottom model raises here."""
         return _LayeredKernel(self)
@@ -129,39 +142,37 @@ def _bottoms(m: HigherOrderModel, prefix: tuple = ()) -> list[tuple]:
 
 
 class _LayeredKernel(Kernel):
-    """Points are the full paths, numbered in declared depth-first order; up
-    is each bottom model's le within its prefix, box = dia the top relation.
-    below maps each path, full or short, to the points under it.  bad holds
-    the points whose shift dangles, or all of them when the model has no
-    modal rule (gap says why)."""
+    """The cell kernel of the prefix family: one member per path prefix,
+    the prop model of its level-0 model, in declared depth-first order, and
+    p succ (b,) + p[1:] for each a rel b of the top relation with p[0] == a.
+    A cell (p, w) is the path p + (w,).  below maps each path, full or
+    short, to the cells under it, and rank gives each cell's place in
+    declared order.  bad holds the cells whose shift dangles, or all of them
+    when the model has no modal rule (gap says why)."""
 
     def __init__(self, m: HigherOrderModel):
-        index, le, val = {}, [], []
-        for prefix, b in _bottoms(m):
-            pairs = dict(b.relations).get("le")
-            if pairs is None:
-                raise PolicyGapError("level-0 evaluation needs a relation named 'le'")
-            PropModel(Frame(frozenset(b.object_names()), pairs), b.val)  # validates
-            for w in b.object_names():
-                index[prefix + (w,)] = len(index)
-            le += [(prefix + (v,), prefix + (u,)) for v, u in pairs]
-            val += [(prefix + (w,), atom) for w, atom in b.val]
-        self.below: dict[tuple, int] = {}
-        for path, i in index.items():
-            for k in range(len(path) + 1):
-                self.below[path[:k]] = self.below.get(path[:k], 0) | 1 << i
+        bottoms = _bottoms(m)
+        members = {p: b.prop for p, b in bottoms}  # the first bad bottom raises
         self.gap = None if m.level and len(m.relations) == 1 else (
             "the mk modal rule needs a single top-level relation above level 0; "
             f"model has level {m.level}, relations {[n for n, _ in m.relations]}")
-        self.bad = (1 << len(index)) - 1 if self.gap else 0
-        rel = () if self.gap else m.relations[0][1]
-        shifts = [(p, (b,) + p[1:]) for a, b in rel for p in index if p[0] == a]
-        for p, q in shifts:
-            if q not in index:
-                self.bad |= 1 << index[p]
-        rows = relation_masks(index, (s for s in shifts if s[1] in index))
-        super().__init__(index, relation_masks(index, le), label_masks(index, val),
-                         rows, rows)
+        shifts = [] if self.gap else [(p, (b,) + p[1:]) for a, b in m.relations[0][1]
+                                      for p in members if p[0] == a]
+        k = _cell_kernel(GeneralModel(tuple(members.items()),
+                                      frozenset(s for s in shifts if s[1] in members)))
+        super().__init__(k.index, k.up, k.atoms, k.box, k.dia)
+        self.below: dict[tuple, int] = {}
+        self.rank = [0] * len(k.index)
+        declared = ((p, w) for p, b in bottoms for w in b.object_names())
+        for rank, (p, w) in enumerate(declared):
+            i, path = k.index[p, w], p + (w,)
+            self.rank[i] = rank
+            for n in range(len(path) + 1):
+                self.below[path[:n]] = self.below.get(path[:n], 0) | 1 << i
+        self.bad = self.full if self.gap else 0
+        for p, q in shifts:  # the worlds of p that q lacks, or all of them
+            there = members[q].worlds if q in members else frozenset()
+            self.bad |= sum(1 << k.index[p, w] for w in members[p].worlds - there)
         self._forcing: dict[int, tuple] = {}  # id(f) -> (f, extension, errors)
 
     def forcing(self, f: Formula) -> tuple[int, int]:
@@ -195,7 +206,7 @@ def evaluate(m: HigherOrderModel, path: Iterable[str], f: Formula) -> bool:
         raise BadPathError(f"no object or world at path {path!r}")
     ext, err = kernel.forcing(f)
     miss = below & (~ext | err)
-    if miss & -miss & err:
+    if miss & err and err >> min(points(miss), key=kernel.rank.__getitem__) & 1:
         if kernel.gap:
             raise PolicyGapError(kernel.gap)
         raise BadPathError(f"a modality read under {path!r} shifts to a path "

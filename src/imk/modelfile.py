@@ -356,12 +356,11 @@ def dump_general(g: GeneralModel, reference: str | None = None) -> str:
 def _plain_block(m: HigherOrderModel) -> str | None:
     """The body of a plain model block that loads back as the level-0 model
     m (its relations le, and r if r has pairs), or None if there is none."""
-    rel = dict(m.relations)
     try:
-        prop = PropModel(Frame(frozenset(m.object_names()), rel.get("le", frozenset())), m.val)
+        prop = m.prop
     except ModelError:
         return None
-    r = rel.get("r", frozenset())
+    r = dict(m.relations).get("r", frozenset())
     same = from_birelational(prop.frame, r, m.val) if r else wrap_prop_model(prop)
     return _block_body(prop.frame, r, m.val) if m == same else None
 

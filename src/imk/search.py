@@ -133,14 +133,8 @@ def enumerate_models(b: SearchBounds, atoms: list[str] | None = None) -> Iterato
                         m = BirelationalModel(frame, r, val)
                         if _RANK[classify(m)] >= want:
                             yield m
-    elif b.logic == "partial":
-        yield from _enumerate_partial(b, atoms)
-    elif b.logic == "homogeneous":
-        yield from _enumerate_homogeneous(b, atoms, singleton=False)
-    elif b.logic == "classicalK":
-        yield from _enumerate_homogeneous(b, atoms, singleton=True)
-    else:  # pragma: no cover
-        raise ValueError(b.logic)
+    else:  # partial, homogeneous and classicalK
+        yield from _enumerate_families(b, atoms)
 
 
 def _member_ids(m: int) -> list[str]:
@@ -155,44 +149,31 @@ class _Relations(dict):
         return self[m]
 
 
-def _enumerate_partial(b: SearchBounds, atoms: list[str]) -> Iterator[PartialModel]:
-    """K1 carries the full reference frame; later members carry upward-closed
-    subframes of it.  Every partial model has this shape up to relabeling.
-    Members are built once per (frame, valuation) and shared by families."""
-    relations = _Relations()
-    for n in range(1, b.max_worlds + 1):
+def _enumerate_families(b: SearchBounds, atoms: list[str]) -> Iterator:
+    """K1 carries the full reference frame.  In a partial family later
+    members carry upward-closed subframes of it; every partial model has
+    this shape up to relabeling.  In a homogeneous family they carry the
+    frame itself, and classicalK's frame is one world.  Members are built
+    once per (frame, valuation) and shared by families."""
+    partial, relations = b.logic == "partial", _Relations()
+    for n in [1] if b.logic == "classicalK" else range(1, b.max_worlds + 1):
         for ref in _frames(n):
             if b.rooted and not _is_rooted(ref):
                 continue
-            sub_frames = [sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
-            if b.rooted:
-                sub_frames = [fr for fr in sub_frames if _is_rooted(fr)]
-            ref_members, *sub_members = [[PropModel(fr, v) for v in _valuations(fr, atoms)]
-                                         for fr in [ref, *sub_frames]]
+            ref_members = [PropModel(ref, v) for v in _valuations(ref, atoms)]
+            later = [ref_members]
+            if partial:
+                sub_frames = [sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
+                later = [[PropModel(fr, v) for v in _valuations(fr, atoms)]
+                         for fr in sub_frames if not b.rooted or _is_rooted(fr)]
             for m in range(1, b.max_submodels + 1):
                 ids = _member_ids(m)
-                for spaces in itertools.product([ref_members], *[sub_members] * (m - 1)):
+                for spaces in itertools.product([ref_members], *[later] * (m - 1)):
                     for chosen in itertools.product(*spaces):
                         submodels = tuple(sorted(zip(ids, chosen)))
                         for succ in relations[m]:
-                            yield PartialModel(GeneralModel(submodels, succ), "K1")
-
-
-def _enumerate_homogeneous(b: SearchBounds, atoms: list[str],
-                           singleton: bool) -> Iterator[HomogeneousModel]:
-    relations = _Relations()
-    sizes = [1] if singleton else range(1, b.max_worlds + 1)
-    for n in sizes:
-        for frame in _frames(n):
-            if b.rooted and not _is_rooted(frame):
-                continue
-            members = [PropModel(frame, v) for v in _valuations(frame, atoms)]
-            for m in range(1, b.max_submodels + 1):
-                ids = _member_ids(m)
-                for chosen in itertools.product(members, repeat=m):
-                    submodels = tuple(sorted(zip(ids, chosen)))
-                    for succ in relations[m]:
-                        yield HomogeneousModel(GeneralModel(submodels, succ))
+                            g = GeneralModel(submodels, succ)
+                            yield PartialModel(g, "K1") if partial else HomogeneousModel(g)
 
 
 def serialize_model(model) -> str:

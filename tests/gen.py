@@ -465,6 +465,31 @@ def random_layered_model(rng: random.Random, level: int, max_objects: int = 3,
     return HigherOrderModel(level, objects, rels)
 
 
+def shuffled_declared_order(m, rng: random.Random):
+    """m with the objects of every level, the worlds of its level-0 models
+    too, declared in a random order, so that declared order and sorted
+    order part."""
+    objects = [(k, c if c is None else shuffled_declared_order(c, rng))
+               for k, c in m.objects]
+    rng.shuffle(objects)
+    return HigherOrderModel(m.level, tuple(objects), m.relations, m.val)
+
+
+def with_lower_relations(m, full: bool):
+    """m with every relation strictly between its top level and its level-0
+    models made full (every pair of objects) or empty."""
+    def lower(child):
+        if child.level == 0:
+            return child
+        names = child.object_names()
+        pairs = frozenset((a, b) for a in names for b in names) if full else frozenset()
+        return HigherOrderModel(child.level, tuple((k, lower(c)) for k, c in child.objects),
+                                tuple((n, pairs) for n, _ in child.relations))
+    if m.level == 0:
+        return m
+    return HigherOrderModel(m.level, tuple((k, lower(c)) for k, c in m.objects), m.relations)
+
+
 def layered_points(m, prefix=()) -> list[tuple]:
     """The full paths of a layered model, in declared depth-first order."""
     if m.level == 0:

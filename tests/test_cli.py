@@ -70,6 +70,52 @@ end
 """
 
 
+# H1 and H2 each link A to B; up links H1 to H2.  p fails only at H1:A:w1.
+TWO_LEVEL = """\
+nmodel H level 2
+nmodel H1 level 1
+model A
+worlds w1
+end
+model B
+worlds w1
+val w1 : p
+end
+rel acc A B
+end
+nmodel H2 level 1
+model A
+worlds w1
+val w1 : p
+end
+model B
+worlds w1
+val w1 : p
+end
+rel acc A B
+end
+rel up H1 H2
+end
+"""
+
+# K declares b before a.  []p fails at K:b (L:b lacks p) and errs at K:a
+# (L has no a), so K is decided by b, its first world in declared order.
+DECLARED_ORDER = """\
+nmodel H level 1
+model K
+worlds b a
+rel le b b
+rel le a a
+end
+model L
+worlds b
+rel le b b
+end
+rel succ K L
+end
+"""
+
+
 @pytest.fixture
 def three_world(tmp_path):
     path = tmp_path / "threeworld.km"
@@ -209,6 +255,34 @@ class TestCheckCommand:
         assert main(["check", "--model", str(path), "--formula", "<>p",
                      "--at", "w1:K1"]) == 0
         assert capsys.readouterr().out.strip() == "K1:w1: true"
+
+    def test_nmodel_paths_above_level_one(self, tmp_path, capsys):
+        # --at names the world first and the top object last
+        path = tmp_path / "two.km"
+        path.write_text(TWO_LEVEL)
+        for at, f, line in (("w1:A:H1", "p", "H1:A:w1: false"),
+                            ("w1:A:H1", "[]p", "H1:A:w1: true"),
+                            ("w1:B:H2", "<>p", "H2:B:w1: false"),
+                            ("A:H2", "p", "H2:A: true"),
+                            ("H1", "p", "H1: false")):
+            assert main(["check", "--model", str(path), "--formula", f, "--at", at]) == 0
+            assert capsys.readouterr().out.strip() == line
+        assert main(["check", "--model", str(path), "--formula", "p", "--at", "w1:A:H1",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "verdicts": [{"at": "H1:A:w1", "value": False}]}
+        assert main(["check", "--model", str(path), "--formula", "p", "--at", "w1:A"]) == 1
+        assert "no object or world at path ('A', 'w1')" in capsys.readouterr().err
+        assert main(["check", "--model", str(path), "--formula", "p"]) == 1
+        assert "use --at" in capsys.readouterr().err
+
+    def test_short_nmodel_path_reads_declared_order(self, tmp_path, capsys):
+        path = tmp_path / "declared.km"
+        path.write_text(DECLARED_ORDER)
+        assert main(["check", "--model", str(path), "--formula", "[]p", "--at", "K"]) == 0
+        assert capsys.readouterr().out.strip() == "K: false"
+        assert main(["check", "--model", str(path), "--formula", "[]p", "--at", "a:K"]) == 1
+        assert "shifts to a path the model lacks" in capsys.readouterr().err
 
     def test_deep_formula(self, tmp_path, capsys):
         # In the chain p holds only at the later world, so ~p holds nowhere

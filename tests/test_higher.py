@@ -16,7 +16,7 @@ from imk.kripke import HeredityError, ModelError
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
                  layered_points, naive_higher_eval, random_homogeneous_model,
-                 random_layered_model)
+                 random_layered_model, shuffled_declared_order, with_lower_relations)
 
 
 @pytest.fixture
@@ -187,13 +187,16 @@ def _outcome(m, path, f):
         return type(exc).__name__
 
 
+def _paths(m) -> list[tuple]:
+    """Every path of m, full or short, sorted."""
+    return sorted({p[:k] for p in layered_points(m) for k in range(len(p) + 1)})
+
+
 class TestAgainstOracle:
     POOL = formula_pool(12, 3, ["p1", "p2"], seed=81)
 
     def _agree(self, m):
-        points = layered_points(m)
-        paths = sorted({p[:k] for p in points for k in range(len(p) + 1)})
-        for path in paths + [("ghost",), points[0] + ("w1",)]:
+        for path in _paths(m) + [("ghost",), layered_points(m)[0] + ("w1",)]:
             for f in self.POOL:
                 assert _outcome(m, path, f) == naive_higher_eval(m, path, f), \
                     (path, f)
@@ -225,6 +228,32 @@ class TestAgainstOracle:
         rng = random.Random(86)
         for _ in range(5):
             self._agree(random_layered_model(rng, 2, max_objects=2))
+
+    def test_shuffled_declared_order(self):
+        # cells are numbered in sorted order within a member, yet a short
+        # path is decided by its first point in declared order
+        rng, shuffle = random.Random(87), random.Random(88)
+        for i in range(30):
+            m = random_layered_model(rng, i % 3, max_objects=2)
+            self._agree(shuffled_declared_order(m, shuffle))
+
+
+class TestLowerRelations:
+    """Only the top relation and the level-0 le are read under the two
+    rules: the relations in between may be anything."""
+    POOL = formula_pool(12, 3, ["p1", "p2"], seed=89)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_are_never_read(self, full):
+        rng, changed = random.Random(90), 0
+        for i in range(20):
+            m = random_layered_model(rng, 2 + i % 2)
+            other = with_lower_relations(m, full)
+            changed += other != m
+            for path in _paths(m):
+                for f in self.POOL:
+                    assert _outcome(other, path, f) == _outcome(m, path, f), (path, f)
+        assert changed
 
 
 # A{w} and B{w} force nothing; C has only v, so A's shift to C dangles.
