@@ -70,17 +70,14 @@ class BirelationalModel(Record):
 
     @cached
     def rows(self) -> dict[str, list[int]]:
-        """Over frame.compiled's numbering: up and its converse down, r and
-        its converse rinv; with the frame's plan and coplan."""
+        """Over frame.compiled's numbering: up, r and its converse rinv."""
         index, up = self.frame.compiled
         r, rinv = [0] * len(up), [0] * len(up)
         for a, b in self.r:
             i, j = index[a], index[b]
             r[i] |= 1 << j
             rinv[j] |= 1 << i
-        frame = self.frame
-        return {"up": up, "down": frame.down, "r": r, "rinv": rinv,
-                "plan": frame.plan, "coplan": frame.coplan}
+        return {"up": up, "r": r, "rinv": rinv}
 
     @cached
     def ik_kernel(self) -> Kernel:
@@ -109,79 +106,86 @@ class ConditionReport(Record):
         assert self.unique == (self.holds and not self.nonunique)
 
 
-# Law c holds when, for each point a and each b in reach[a], the witnesses
-# of (a, b) are not empty, and are one point where uniqueness is asked for.
-# Each entry names, in BirelationalModel.rows, (plan, left, right, x, back).
-# F1 reaches the left-successors of the points at or below a (plan: the
-# frame's coplan), F3 and F4 those of the points at or above a: one pass
-# over the plan, the union of left over the points a component reaches.
-# a's witnesses lie in the rows right[j] of the points j of left[a].  F2
-# swaps the two: it reaches those rows, its witnesses lie in the pass, and
-# a point j has two or more only if two r-predecessors of j lie in up[a].
-# An antecedent's middle point lies in x[a] & back[b]; F1 lists it first,
-# the others second.
-_LAWS = {"F1": itemgetter("coplan", "r", "down", "down", "rinv"),
-         "F2": itemgetter("plan", "r", "up", "r", "down"),
-         "F3": itemgetter("plan", "r", "up", "up", "rinv"),
-         "F4": itemgetter("plan", "rinv", "up", "up", "r")}
+# Each law is an inclusion between two composed rows, for x = r or rinv:
+# up;x, the union of x over a point's up row, and x;up, the points at or
+# above its x-successors.  F3 reads up;r <= r;up, F4 up;rinv <= rinv;up, F2
+# r;up <= up;r and F1 rinv;up <= up;rinv, so F1 is F2 and F4 is F3 on the
+# converse.  Each entry names, in BirelationalModel.rows, x and its
+# converse; whether up;x is the smaller side; and where the law's
+# statement puts a, the middle point and b of an antecedent (a, b).
+_LAWS = {"F1": ("rinv", "r", False, itemgetter(1, 2, 0)),
+         "F2": ("r", "rinv", False, itemgetter(0, 1, 2)),
+         "F3": ("r", "rinv", True, itemgetter(0, 1, 2)),
+         "F4": ("rinv", "r", True, itemgetter(0, 1, 2))}
 
 
 def _failures(m: BirelationalModel, c: str, unique: bool):
-    """(a, the b in reach[a] with no witness, the b with two or more) for each
-    point a where law c fails, or where uniqueness is asked for and fails.
-    The points come component by component, each checked as soon as its
-    pass row exists, so a failing law stops early.  The bits are walked
-    inline: search classifies every candidate it builds."""
-    plan, left, right, _, _ = _LAWS[c](m.rows)
-    done: list[int] = []  # by step
-    multi, f2 = 0, c == "F2"  # F2: the points with two or more r-predecessors
-    if f2 and unique:
-        up, rinv, seen = m.rows["up"], m.rows["rinv"], 0
-        for row in left:
+    """(a, the b in a's smaller row and not its larger one, the b with two or
+    more witnesses) for each point a where law c fails, or where uniqueness
+    is asked for and fails.  up;x is one pass over the frame's plan: a
+    component's row is x over its points and the rows of the components it
+    reaches.  x;up is a walk over x[a]; b has two witnesses there when two
+    points of x[a] are at or below it.  b's witnesses in up;x are
+    up[a] & xinv[b], so only a point with two or more x-predecessors can
+    have two.  The points come component by component, each checked as
+    soon as its pass row exists, so a failing law stops early.  The bits
+    are walked inline: search classifies every candidate it builds."""
+    x, xinv, up_first, _ = _LAWS[c]
+    up, x, xinv = m.rows["up"], m.rows[x], m.rows[xinv]
+    multi = 0  # the points with two or more x-predecessors
+    if unique and not up_first:
+        seen = 0
+        for row in x:
             multi |= seen & row
             seen |= row
-    for a, mates, succ in plan:
-        reach = left[a]
+    done: list[int] = []  # up;x, by step
+    for a, mates, succ in m.frame.plan:
+        image = x[a]
         for b in mates:
-            reach |= left[b]
+            image |= x[b]
         for s in succ:
-            reach |= done[s]
-        done.append(reach)
+            image |= done[s]
+        done.append(image)
         once = twice = 0
-        row = left[a]
-        while row:  # the point j of left[a] witnesses (a, b) for each b in right[j]
+        row = x[a]
+        while row:  # x;up: the point j of x[a] reaches each b in up[j]
             low = row & -row
-            j = right[low.bit_length() - 1]
+            j = up[low.bit_length() - 1]
             twice |= once & j
             once |= j
             row ^= low
-        if f2:
-            reach, once, twice = once, reach, 0
-            more = reach & multi
+        if up_first:
+            small, large = image, once
+        else:
+            small, large, twice = once, image, 0
+            more = small & multi
             while more:
                 bit = more & -more
                 more ^= bit
-                row = rinv[bit.bit_length() - 1] & up[a]
+                row = xinv[bit.bit_length() - 1] & up[a]
                 if row & row - 1:
                     twice |= bit
-        if reach & ~once or unique and reach & twice:
-            yield a, reach & ~once, reach & twice
+        if small & ~large or unique and small & twice:
+            yield a, small & ~large, small & twice
 
 
 def check_condition(m: BirelationalModel, c: str) -> ConditionReport:
     """Exhaustive report for one condition: all violations and all antecedents
-    whose witness is not unique.  Only failing (a, b) pairs are expanded."""
+    whose witness is not unique.  Only failing (a, b) pairs are expanded:
+    a <= mid x b for up;x, a x mid <= b for x;up."""
     if c not in _LAWS:
         raise ValueError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
-    *_, x, back = _LAWS[c](m.rows)
+    x, xinv, up_first, order = _LAWS[c]
+    up, x, xinv = m.rows["up"], m.rows[x], m.rows[xinv]
     names = list(m.frame.compiled[0])
     found = [], []  # violations, non-unique antecedents
     for a, *masks in _failures(m, c, True):
         for out, mask in zip(found, masks):
             for b in points(mask):
-                for mid in points(x[a] & back[b]):
-                    triple = (mid, a, b) if c == "F1" else (a, mid, b)
-                    out.append(tuple(names[i] for i in triple))
+                mids = points(up[a] & xinv[b]) if up_first else \
+                    (j for j in points(x[a]) if up[j] >> b & 1)
+                for mid in mids:
+                    out.append(tuple(names[i] for i in order((a, mid, b))))
     violations, nonunique = (tuple(sorted(out, key=repr)) for out in found)
     return ConditionReport(c, not violations, not violations and not nonunique,
                            violations, nonunique)

@@ -205,22 +205,25 @@ def _entails(m, k: str, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
         raise UnknownWorldError(w) from None
 
 
-def _valid(m, ks: Iterable[str], gamma: Iterable[Formula], f: Formula) -> bool:
-    """gamma entails f at every cell of the members ks, as one mask test."""
+def _valid(m, k: str | None, gamma: Iterable[Formula], f: Formula) -> bool:
+    """gamma entails f at every cell of member k, or of every member when k
+    is None, as one mask test."""
     if not isinstance(m, (PartialModel, HomogeneousModel)):
         raise InvalidModelClassError(
             f"expected a PartialModel or HomogeneousModel, got {type(m).__name__}")
-    index = m.kernel.index
-    cells = sum(1 << index[k, w] for k in ks for w in m.general.submodel(k).frame.worlds)
+    cells = -1
+    if k is not None:
+        index = m.kernel.index
+        cells = sum(1 << index[k, w] for w in m.general.submodel(k).frame.worlds)
     return m.kernel.valid(gamma, f, cells)
 
 
 def valid_at_submodel(m, k: str, gamma: Iterable[Formula], f: Formula) -> bool:
-    return _valid(m, [k], gamma, f)
+    return _valid(m, k, gamma, f)
 
 
 def valid_in_model(m, gamma: Iterable[Formula], f: Formula) -> bool:
-    return _valid(m, m.general.ids, gamma, f)
+    return _valid(m, None, gamma, f)
 
 
 # --- the MK clauses over any base of propositional models --------------------

@@ -128,22 +128,6 @@ def _close(gens: list[int]) -> tuple[list[int], list[tuple]]:
     return up, plan
 
 
-def _turn(plan: list[tuple]) -> list[tuple]:
-    """The plan turned around, sources first, each component's first step
-    reading the components with a generator into it."""
-    n, q, firsts, turned, preds = len(plan), 0, [], [], {}
-    while q < n:  # a component: its first step at q, then its mates' steps
-        firsts.append(q)
-        q += 1 + len(plan[q][1])
-        for c in plan[firsts[-1]][2]:
-            preds.setdefault(c, []).append(n - q)  # where its first step goes
-    for q in reversed(firsts):
-        a, mates, _ = plan[q]
-        turned.append((a, mates, preds.get(q, ())))
-        turned += [(b, (), (len(turned) - 1,)) for b in mates]
-    return turned
-
-
 def _image(plan: list[tuple], rows: list[int]) -> list[int]:
     """Row i is the union of rows over the points that point i reaches in
     the plan: one row operation per point and per generator."""
@@ -236,15 +220,6 @@ class Frame(Record):
     def le(self) -> frozenset:
         names, up = list(self.compiled[0]), self.compiled[1]
         return frozenset((a, names[j]) for i, a in enumerate(names) for j in points(up[i]))
-
-    @cached
-    def coplan(self) -> list[tuple]:
-        return _turn(self.plan)
-
-    @cached
-    def down(self) -> list[int]:
-        """For each number, the bitmask of the worlds at or below it."""
-        return _image(self.coplan, [1 << i for i in range(len(self.worlds))])
 
     @cached
     def partial_copy_of(self) -> dict:

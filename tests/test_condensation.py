@@ -2,8 +2,8 @@
 
 Every frame closes its generator rows in one pass over their components,
 sinks first, when it is made; the plan of that pass (its components in that
-order, each with the components its generators reach) then drives down,
-IK's box rows and the walks of F1-F4.  build_frame's generators are its
+order, each with the components its generators reach) then drives IK's
+box rows and the walks of F1-F4.  build_frame's generators are its
 pairs, Frame(worlds, le) takes the pairs it checks, and sub_frame and
 flatten take closed rows.  These tests check all four against the pair
 oracles of tests/gen.py, on sparse generators with cycles (clusters) and
@@ -98,15 +98,11 @@ def test_the_corpus_has_diamonds_and_clusters(frames):
     assert diamonds > 20 and clusters > 50
 
 
-def test_up_is_the_closure_and_down_its_converse(frames):
+def test_up_is_the_closure(frames):
     for worlds, gens, frame, pairs in frames:
         closed = naive_closure(worlds, gens)
         for fr in (frame, pairs):
-            index = fr.compiled[0]
             assert fr.le == closed
-            assert {(a, b) for a in worlds for b in worlds
-                    if fr.down[index[b]] >> index[a] & 1} == closed
-        assert frame.down == pairs.down
 
 
 def test_one_closure_is_one_frame(frames):
@@ -120,15 +116,14 @@ def test_one_closure_is_one_frame(frames):
 
 
 def test_plans_run_sinks_first_and_close_up(frames):
-    """Every component reads only components before it, and the passes over
-    the plan and the coplan give back up and down."""
+    """Every component reads only components before it, and the pass over
+    the plan gives back up."""
     for _, _, frame, pairs in frames:
         for fr in (frame, pairs):
-            up, unit = list(fr.compiled[1]), [1 << i for i in range(len(fr.worlds))]
-            for plan, rows in ((fr.plan, up), (fr.coplan, list(fr.down))):
-                assert all(c < at for at, (_, _, succ) in enumerate(plan) for c in succ)
-                assert sorted(a for a, _, _ in plan) == list(range(len(unit)))
-                assert _image(plan, unit) == rows
+            plan, unit = fr.plan, [1 << i for i in range(len(fr.worlds))]
+            assert all(c < at for at, (_, _, succ) in enumerate(plan) for c in succ)
+            assert sorted(a for a, _, _ in plan) == list(range(len(unit)))
+            assert _image(plan, unit) == list(fr.compiled[1])
 
 
 def test_ik_box_rows(frames):

@@ -9,7 +9,7 @@ from imk import (HomogeneousModel, as_homogeneous, as_partial,
                  valid_at_submodel, valid_in_model, validate_homogeneous,
                  validate_partial)
 from imk.formulas import BOTTOM, Box, subformulas
-from imk.general import (CLASSICAL_POINT, CarrierMismatchError,
+from imk.general import (CLASSICAL_POINT, CarrierMismatchError, GeneralModel,
                          InvalidModelClassError, UnknownSubmodelError,
                          classical_member)
 from imk.kripke import ModelError, UnknownWorldError, relation_masks
@@ -136,6 +136,25 @@ class TestEntailsAndValidity:
         m = as_partial(general_model({"K": prop}))
         for f in formula_pool(20, 3, ["p"], seed=33, modal=False):
             assert valid_in_model(m, [], f) == model_valid(prop, [], f)
+
+    def test_validity_looks_up_at_most_one_member(self, monkeypatch):
+        """valid_in_model reads the whole carrier and valid_at_submodel its
+        one member, however many members the family has."""
+        prop = build_prop_model(build_frame({"w", "w2"}, {("w", "w2")}), {"w2": {"p"}})
+        ids = [f"K{i}" for i in range(40)]
+        g = general_model(dict.fromkeys(ids, prop), set(zip(ids, ids[1:])))
+        models = [as_homogeneous(g), as_partial(g, "K0")]
+        for m in models:
+            m.kernel
+        calls, lookup = [], GeneralModel.submodel
+        monkeypatch.setattr(GeneralModel, "submodel",
+                            lambda self, k: calls.append(k) or lookup(self, k))
+        f = parse("p -> p")
+        for m in models:
+            calls.clear()
+            assert valid_in_model(m, [], f) and calls == []
+            assert valid_at_submodel(m, "K7", [], f) and calls == ["K7"]
+            assert not valid_in_model(m, [], parse("p")) and calls == ["K7"]
 
     def test_entails_gamma_within_member(self):
         m = as_partial(timeline_family(set()))

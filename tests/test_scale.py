@@ -5,9 +5,9 @@ read from model files by ``imk classify``, ``imk frame-check --json`` and
 ``imk check --logic ik|mk``.  Identity r meets F1-F4 with unique witnesses
 on every preorder, so both models are excessive, and box and diamond then
 read a world's own atoms: ``[]p`` holds exactly where ``p`` does.  Each
-query must finish within a generous bound: closure, ``down`` and F1-F4 run
-in one pass over the components of the generators, where quadratic work
-took seconds per query on these models.
+query must finish within a generous bound: closure and F1-F4 run in one
+pass over the components of the generators, where quadratic work took
+seconds per query on these models.
 """
 
 import json
