@@ -63,7 +63,8 @@ def _ast_json(f: Formula):
 def _json_chunks(value):
     """The text of json.dumps(value, indent=2, sort_keys=True) in pieces, from
     an explicit stack in place of the standard encoder's recursion, so that
-    deep syntax trees print."""
+    deep syntax trees print.  Past 1,000 levels, where the standard encoder
+    fails, the pad is empty: no newlines, so the text is linear in depth."""
     stack = [(value, "\n")]
     while stack:
         item = stack.pop()
@@ -74,7 +75,7 @@ def _json_chunks(value):
         if not v or not isinstance(v, (dict, list, tuple)):  # scalars, {} and []
             yield encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
             continue
-        keyed, inner = isinstance(v, dict), pad + "  "
+        keyed, inner = isinstance(v, dict), pad + "  " if 0 < len(pad) <= 2000 else ""
         items = sorted(v.items()) if keyed else [("", x) for x in v]
         yield "{" if keyed else "["
         stack.append(pad + ("}" if keyed else "]"))

@@ -426,18 +426,18 @@ def model_valid(model: PropModel, gamma: Iterable[Formula], f: Formula) -> bool:
 
 
 def is_partial_copy(candidate: Frame, reference: Frame) -> bool:
-    """True when candidate repeats part of reference: a subset of its worlds,
-    closed upward under the reference order, carrying the restricted order.
-    The verdict is kept on the candidate."""
+    """True when candidate repeats part of reference: its worlds lie in
+    reference and each sees the same later worlds in both frames, so they are
+    closed upward and carry the restricted order.  Kept on the candidate."""
     known = candidate.partial_copy_of
     verdict = known.get(reference)
     if verdict is None:
-        verdict = candidate == reference
-        if not verdict and candidate.worlds <= reference.worlds:
-            index, up = reference.compiled
-            kept = sum(1 << index[w] for w in candidate.worlds)
-            verdict = all(not up[i] & ~kept for i in points(kept)) and \
-                sub_frame(reference, candidate.worlds) == candidate
+        (index, up), (there, rows) = candidate.compiled, reference.compiled
+        verdict = candidate.worlds <= reference.worlds
+        if verdict:  # each point's number in reference, then its row there
+            at = [there[w] for w in index]
+            verdict = all(rows[at[i]] == sum(1 << at[j] for j in points(row))
+                          for i, row in enumerate(up))
         known[reference] = verdict
     return verdict
 
@@ -454,5 +454,6 @@ def sub_frame(frame: Frame, kept: frozenset) -> Frame:
     if not kept or not kept <= frame.worlds:  # Frame names what is wrong
         return Frame(kept, frozenset((w, w) for w in kept & frame.worlds))
     index = {w: i for i, w in enumerate(w for w in frame.compiled[0] if w in kept)}
-    rows = [sum(1 << index[v] for v in frame.above(w) if v in index) for w in index]
+    at, up = [frame.compiled[0][w] for w in index], frame.compiled[1]
+    rows = [sum(1 << k for k, j in enumerate(at) if up[i] >> j & 1) for i in at]
     return _frame(frozenset(kept), index, rows)

@@ -124,9 +124,9 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
-def _want_world(tok: str, lineno: int) -> str:
+def _want_world(tok: str, lineno: int, what: str = "world id") -> str:
     if not _WORLD_RE.match(tok):
-        raise ModelFileError(f"bad world id {tok!r}", lineno)
+        raise ModelFileError(f"bad {what} {tok!r}", lineno)
     return tok
 
 
@@ -167,7 +167,7 @@ def _parse_model_block(name: str, start: int, stream, rels: dict | None = None) 
             if len(toks) < 3 or toks[2] != ":":
                 raise ModelFileError("val line looks like: val <world> : <atom>*", lineno)
             w = _want_world(toks[1], lineno)
-            atoms = {_want_world(t, lineno) for t in toks[3:]}
+            atoms = {_want_world(t, lineno, "atom") for t in toks[3:]}
             raw.val.setdefault(w, set()).update(atoms)
         elif head == "rel" and rels is not None:
             _rel_line(toks, lineno, rels, _want_world)

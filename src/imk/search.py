@@ -17,7 +17,7 @@ from typing import Iterator
 from .birelational import _RANK, BirelationalModel, classify
 from .formulas import Atom, Formula
 from .general import GeneralModel, HomogeneousModel, PartialModel
-from .kripke import Frame, PropModel, build_frame, sub_frame
+from .kripke import Frame, PropModel, _frame, _numbering, points, sub_frame
 from .memo import Record
 from .modelfile import dump_birelational, dump_general, dump_prop_model
 
@@ -26,8 +26,8 @@ __all__ = ["SearchBounds", "SearchOutcome", "LOGICS",
 
 LOGICS = ("prop", "ik", "mk", "partial", "homogeneous", "classicalK")
 
-# Each enumeration builds its preorders from all generator subsets; past 4
-# points the 2^(n^2-n) sweep of build_frame stops being a sensible way to do this.
+# Candidates are built and checked one at a time: ik and mk classify every
+# (frame, valuation, r), already about 153 million at 4 worlds and 1 atom.
 MAX_ENUMERABLE_WORLDS = 4
 
 
@@ -60,42 +60,38 @@ def _world_names(n: int) -> list[str]:
 
 
 def _frames(n: int) -> list[Frame]:
-    """All preorders over w1..wn, from every generator subset, ordered by
-    their sorted pair lists."""
+    """All preorders over w1..wn, ordered by their sorted pair lists: the
+    tuples of reflexive up rows in which each row holds its points' rows."""
     worlds = _world_names(n)
-    off_diag = [(a, b) for a in worlds for b in worlds if a != b]
-    frames = {build_frame(worlds, itertools.compress(off_diag, bits))
-              for bits in itertools.product((False, True), repeat=len(off_diag))}
+    rows = [[row for row in range(1 << n) if row >> i & 1] for i in range(n)]
+    ups = (up for up in itertools.product(*rows)
+           if all(up[j] | row == row for row in up for j in points(row)))
+    frames = [_frame(frozenset(worlds), _numbering(worlds), list(up)) for up in ups]
     return sorted(frames, key=lambda frame: sorted(frame.le))
 
 
-def _up_sets(frame: Frame, nonempty: bool = False) -> list[frozenset]:
-    worlds = frame.sorted_worlds()
-    out = []
-    for size in range(0 if not nonempty else 1, len(worlds) + 1):
-        for combo in itertools.combinations(worlds, size):
-            s = frozenset(combo)
-            if all(frame.above(w) <= s for w in s):
-                out.append(s)
-    return out
+def _up_sets(frame: Frame) -> list[int]:
+    """The up-closed sets of frame's points as masks, by size and then in
+    combination order, so the empty set comes first."""
+    up, n = frame.compiled[1], len(frame.worlds)
+    masks = (sum(1 << i for i in combo) for size in range(n + 1)
+             for combo in itertools.combinations(range(n), size))
+    return [mask for mask in masks if all(up[i] | mask == mask for i in points(mask))]
 
 
 def _valuations(frame: Frame, atoms: list[str]) -> Iterator[frozenset]:
     """All hereditary valuations: each atom's extension is an upward-closed set."""
-    ups = _up_sets(frame)
+    names = frame.sorted_worlds()
+    ups = [frozenset(names[i] for i in points(mask)) for mask in _up_sets(frame)]
     for choice in itertools.product(ups, repeat=len(atoms)):
         yield frozenset((w, atom) for atom, ext in zip(atoms, choice) for w in ext)
 
 
-def _relation_subsets(points: list) -> Iterator[frozenset]:
-    """Every relation over points (worlds or member ids), in a fixed order."""
-    pairs = [(a, b) for a in points for b in points]
+def _relation_subsets(labels: list) -> Iterator[frozenset]:
+    """Every relation over labels (worlds or member ids), in a fixed order."""
+    pairs = [(a, b) for a in labels for b in labels]
     for bits in itertools.product((False, True), repeat=len(pairs)):
         yield frozenset(p for p, keep in zip(pairs, bits) if keep)
-
-
-def _is_rooted(frame: Frame) -> bool:
-    return any(frame.above(w) == frame.worlds for w in frame.worlds)
 
 
 def _atom_names(k: int) -> list[str]:
@@ -158,14 +154,15 @@ def _enumerate_families(b: SearchBounds, atoms: list[str]) -> Iterator:
     partial, relations = b.logic == "partial", _Relations()
     for n in [1] if b.logic == "classicalK" else range(1, b.max_worlds + 1):
         for ref in _frames(n):
-            if b.rooted and not _is_rooted(ref):
+            names, up = ref.sorted_worlds(), ref.compiled[1]
+            if b.rooted and (1 << n) - 1 not in up:  # rooted: some up row holds every point
                 continue
             ref_members = [PropModel(ref, v) for v in _valuations(ref, atoms)]
             later = [ref_members]
-            if partial:
-                sub_frames = [sub_frame(ref, kept) for kept in _up_sets(ref, nonempty=True)]
-                later = [[PropModel(fr, v) for v in _valuations(fr, atoms)]
-                         for fr in sub_frames if not b.rooted or _is_rooted(fr)]
+            if partial:  # the part on an up-closed set is rooted when that set is an up row
+                subs = [sub_frame(ref, frozenset(names[i] for i in points(kept)))
+                        for kept in _up_sets(ref)[1:] if not b.rooted or kept in up]
+                later = [[PropModel(fr, v) for v in _valuations(fr, atoms)] for fr in subs]
             for m in range(1, b.max_submodels + 1):
                 ids = _member_ids(m)
                 for spaces in itertools.product([ref_members], *[later] * (m - 1)):

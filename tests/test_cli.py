@@ -1,5 +1,7 @@
 import contextlib
 import json
+import sys
+import time
 from math import comb
 
 import pytest
@@ -167,12 +169,38 @@ class TestParseCommand:
             assert main(["parse", "--json", "--formula", "~" * 3000 + "p"]) == 0
         assert sink.head.startswith('{\n  "ast": {\n    "left": {') and sink.tail.endswith("}\n")
 
+    @pytest.mark.parametrize("depth", [998, 1500, 3000])
+    def test_json_past_1000_levels_reads_back(self, capsys, depth):
+        """998 negations make 1,000 levels, the deepest the text still shares
+        with the standard encoding; deeper levels are compact."""
+        f = parse("~" * depth + "p")
+        payload = {"formula": render(f), "complexity": complexity(f), "ast": cli._ast_json(f)}
+        assert main(["parse", "--json", "--formula", "~" * depth + "p"]) == 0
+        out, limit = capsys.readouterr().out, sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2 * depth)  # for json.loads, == and json.dumps
+        try:
+            assert json.loads(out) == payload
+            if depth <= 998:
+                assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_json_is_linear_in_depth(self):
+        sink, start = _Sink(), time.perf_counter()
+        with contextlib.redirect_stdout(sink):
+            assert main(["parse", "--json", "--formula", "~" * 50_000 + "p"]) == 0
+        assert time.perf_counter() - start < 5 and sink.size < 20_000_000
+        assert sink.tail.endswith('~p"\n}\n')
+
 
 class _Sink:
-    """A stdout that keeps only the first and the last 100 characters."""
+    """A stdout that keeps only the first and the last 100 characters, and
+    counts the rest."""
     head = tail = ""
+    size = 0
 
     def write(self, text):
+        self.size += len(text)
         if len(self.head) < 100:
             self.head = (self.head + text)[:100]
         self.tail = (self.tail + text[-100:])[-100:]

@@ -98,6 +98,7 @@ class TestDiagnostics:
         ("model K\nworlds w\nval w p\nend", "val line"),
         ("model K\nworlds w\n", "missing its end"),
         ("model K\nworlds W\nend", "bad world id"),
+        ("model K\nworlds w\nval w : P\nend", "bad atom 'P'"),
         ("bogus line\n", "unexpected"),
         ("model K\nworlds w\nend\nsucc K K2\n", "unknown model"),
         ("model K\nworlds w\nend\nmodel K\nworlds w\nend", "duplicate"),

@@ -209,7 +209,7 @@ class TestAgainstNaiveEnumeration:
     @pytest.mark.parametrize("logic, worlds, atoms, members", [
         ("prop", 3, 1, 1), ("prop", 2, 2, 1), ("ik", 3, 1, 1), ("mk", 3, 1, 1),
         ("partial", 2, 1, 3), ("partial", 3, 1, 2), ("homogeneous", 3, 1, 2),
-        ("classicalK", 1, 2, 2)])
+        ("classicalK", 1, 2, 2), ("prop", 4, 1, 1), ("partial", 4, 1, 1)])
     def test_same_stream(self, logic, worlds, atoms, members):
         b = SearchBounds(logic, worlds, atoms, members)
         alphabet = [f"p{i}" for i in range(1, atoms + 1)]
