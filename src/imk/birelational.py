@@ -69,6 +69,11 @@ class BirelationalModel(Record):
         return {}
 
     @cached
+    def admitted(self) -> dict:
+        """_kernel's kernels so far, by require_unique and then by rank."""
+        return {True: {}, False: {}}
+
+    @cached
     def rows(self) -> dict[str, list[int]]:
         """Over frame.compiled's numbering: up, r and its converse rinv."""
         index, up = self.frame.compiled
@@ -219,29 +224,33 @@ _RANK = {"none": 0, "birelational": 1, "strong": 2, "excessive": 3}
 
 
 def _kernel(m: BirelationalModel, rank: str, require_unique: bool) -> Kernel:
-    """The MK kernel for rank 'strong', else the IK one, once the model is
-    known to be of that rank."""
-    cls = classify(m, require_unique)
-    if _RANK[cls] < _RANK[rank]:
-        if rank == "strong":
-            raise NotStrongError(
-                f"model classifies as {cls!r}; MK forcing requires F3 (a strong model)")
-        raise NotBirelationalError(
-            f"model classifies as {cls!r}; IK forcing requires F1 and F2")
-    return m.mk_kernel if rank == "strong" else m.ik_kernel
+    """The MK kernel for rank 'strong', else the IK one, kept on the model
+    once it is known to be of that rank; below it, every call raises."""
+    kept = m.admitted[bool(require_unique)]
+    kernel = kept.get(rank)
+    if kernel is None:
+        cls = classify(m, require_unique)
+        if _RANK[cls] < _RANK[rank]:
+            if rank == "strong":
+                raise NotStrongError(
+                    f"model classifies as {cls!r}; MK forcing requires F3 (a strong model)")
+            raise NotBirelationalError(
+                f"model classifies as {cls!r}; IK forcing requires F1 and F2")
+        kernel = kept[rank] = m.mk_kernel if rank == "strong" else m.ik_kernel
+    return kernel
 
 
 def forces_ik(m: BirelationalModel, w: World, f: Formula, *,
               require_unique: bool = True) -> bool:
     """IK forcing: box looks at r-successors of all later worlds, diamond at
     direct r-successors."""
-    return entails_ik(m, w, (), f, require_unique=require_unique)
+    return _kernel(m, "birelational", require_unique).entails(w, (), f)
 
 
 def forces_mk(m: BirelationalModel, w: World, f: Formula, *,
               require_unique: bool = True) -> bool:
     """MK forcing on strong models: box quantifies over direct r-successors only."""
-    return entails_mk(m, w, (), f, require_unique=require_unique)
+    return _kernel(m, "strong", require_unique).entails(w, (), f)
 
 
 def entails_ik(m: BirelationalModel, w: World, gamma: Iterable[Formula],

@@ -84,9 +84,10 @@ def _json_chunks(value):
             stack += [(items[i][1], inner), "," * (i > 0) + inner + key]
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text: str) -> None:
+    """Print text, or under --json the dict that payload() builds."""
     if args.json:
-        sys.stdout.writelines(_json_chunks(payload))
+        sys.stdout.writelines(_json_chunks(payload()))
         print()
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -119,9 +120,9 @@ def _family_kind(g: GeneralModel, args) -> str:
 
 def _cmd_parse(args) -> int:
     f = parse(args.formula)
-    _emit(args,
-          {"formula": render(f), "complexity": complexity(f), "ast": _ast_json(f)},
-          render(f))
+    text = render(f)
+    _emit(args, lambda: {"formula": text, "complexity": complexity(f), "ast": _ast_json(f)},
+          text)
     return 0
 
 
@@ -189,7 +190,7 @@ def _cmd_check(args) -> int:
     doc = _load(args)
     verdicts = list(_check_points(doc, args))
     text = "\n".join(f"{label}: {'true' if v else 'false'}" for label, v in verdicts)
-    _emit(args, {"verdicts": [{"at": label, "value": v} for label, v in verdicts]},
+    _emit(args, lambda: {"verdicts": [{"at": label, "value": v} for label, v in verdicts]},
           text)
     return 0
 
@@ -216,14 +217,14 @@ def _cmd_frame_check(args) -> int:
     reports = [check_condition(m, c) for c in CONDITIONS]
     cls = class_of(reports)
     text = "\n".join(_report_text(rep) for rep in reports) + f"\nclass: {cls}"
-    _emit(args, {"reports": [_report_json(rep) for rep in reports], "class": cls},
+    _emit(args, lambda: {"reports": [_report_json(rep) for rep in reports], "class": cls},
           text)
     return 0
 
 
 def _cmd_classify(args) -> int:
     cls = classify(_load(args).as_birelational())
-    _emit(args, {"class": cls}, cls)
+    _emit(args, lambda: {"class": cls}, cls)
     return 0
 
 
@@ -236,11 +237,11 @@ def _cmd_flatten(args) -> int:
             fh.write(text)
         summary = (f"wrote {args.output}: {len(flat.frame.worlds)} worlds, "
                    f"{len(flat.r)} r edges")
-        _emit(args, {"worlds": len(flat.frame.worlds), "r_edges": len(flat.r),
-                     "output": args.output}, summary)
+        _emit(args, lambda: {"worlds": len(flat.frame.worlds), "r_edges": len(flat.r),
+                             "output": args.output}, summary)
     else:
-        _emit(args, {"worlds": len(flat.frame.worlds), "r_edges": len(flat.r),
-                     "text": text}, text)
+        _emit(args, lambda: {"worlds": len(flat.frame.worlds), "r_edges": len(flat.r),
+                             "text": text}, text)
     return 0
 
 
@@ -256,8 +257,8 @@ def _cmd_equiv_report(args) -> int:
              f"disagreements: {len(rep.disagreements)}"]
     lines += [f"  {d.submodel}:{d.world} {d.formula!r} family={d.family_side} "
               f"flat={d.flat_side}" for d in rep.disagreements]
-    _emit(args, {"logic": rep.logic, "cases": rep.cases,
-                 "disagreements": [vars(d) for d in rep.disagreements]},
+    _emit(args, lambda: {"logic": rep.logic, "cases": rep.cases,
+                         "disagreements": [vars(d) for d in rep.disagreements]},
           "\n".join(lines))
     return 0
 
@@ -286,15 +287,15 @@ def _cmd_countermodel(args) -> int:
     else:
         text = (f"no countermodel found within bounds "
                 f"({outcome.models_examined} models examined)")
-    _emit(args, {"found": outcome.found, "locus": outcome.locus,
-                 "models_examined": outcome.models_examined,
-                 "model": outcome.model}, text)
+    _emit(args, lambda: {"found": outcome.found, "locus": outcome.locus,
+                         "models_examined": outcome.models_examined,
+                         "model": outcome.model}, text)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     texts = [serialize_model(m) for m in enumerate_models(_bounds(args))]
-    _emit(args, {"count": len(texts), "models": texts},
+    _emit(args, lambda: {"count": len(texts), "models": texts},
           "".join(text + "\n" for text in texts) + f"# enumerated {len(texts)} models")
     return 0
 

@@ -163,7 +163,9 @@ def _cell_kernel(g: GeneralModel, reference: Frame | None = None) -> Kernel:
             if reference:  # k2 is upward closed and carries the reference order
                 box[here + i] |= up[offset + j] if j is not None else \
                     sum(1 << offset + there[v] for v in reference.above(w) if v in there)
-    return Kernel(cells, up, atoms, box if reference else dia, dia)
+    def unknown(p):  # an unknown member, else an unknown world of a known one
+        return UnknownWorldError(p[1]) if p[0] in start else UnknownSubmodelError(p[0])
+    return Kernel(cells, up, atoms, box if reference else dia, dia, unknown)
 
 
 def as_partial(g: GeneralModel, reference: str | None = None) -> PartialModel:
@@ -179,30 +181,22 @@ def as_homogeneous(g: GeneralModel) -> HomogeneousModel:
 
 
 def forces_partial(m: PartialModel, k: str, w: World, f: Formula) -> bool:
-    return _entails(m, k, w, (), f)
+    return m.kernel.entails((k, w), (), f)
 
 
 def forces_homogeneous(h: HomogeneousModel, k: str, w: World, f: Formula) -> bool:
-    return _entails(h, k, w, (), f)
+    return h.kernel.entails((k, w), (), f)
 
 
 def entails_partial(m: PartialModel, k: str, w: World,
                     gamma: Iterable[Formula], f: Formula) -> bool:
     """Entailment runs inside one member, over its own order."""
-    return _entails(m, k, w, gamma, f)
+    return m.kernel.entails((k, w), gamma, f)
 
 
 def entails_homogeneous(h: HomogeneousModel, k: str, w: World,
                         gamma: Iterable[Formula], f: Formula) -> bool:
-    return _entails(h, k, w, gamma, f)
-
-
-def _entails(m, k: str, w: World, gamma: Iterable[Formula], f: Formula) -> bool:
-    try:
-        return m.kernel.entails((k, w), gamma, f)
-    except UnknownWorldError:
-        m.general.submodel(k)  # an unknown member raises here
-        raise UnknownWorldError(w) from None
+    return h.kernel.entails((k, w), gamma, f)
 
 
 def _valid(m, k: str | None, gamma: Iterable[Formula], f: Formula) -> bool:

@@ -31,7 +31,7 @@ from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import GeneralModel, HomogeneousModel, _cell_kernel
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, points,
                      world_key)
-from .memo import Record, cached
+from .memo import Record, cached, set_field
 
 __all__ = [
     "HigherOrderModel", "BadPathError", "PolicyGapError",
@@ -112,8 +112,11 @@ class HigherOrderModel(Record):
 
 
 def wrap_prop_model(m: PropModel) -> HigherOrderModel:
-    return HigherOrderModel(0, tuple((w, None) for w in m.frame.sorted_worlds()),
-                            (("le", m.frame.le),), m.val)
+    """m as a level-0 model over its relation le, with m as its prop."""
+    h = HigherOrderModel(0, tuple((w, None) for w in m.frame.sorted_worlds()),
+                         (("le", m.frame.le),), m.val)
+    set_field(h, "prop", m)  # as memo.cached does
+    return h
 
 
 def from_birelational(frame: Frame, r: frozenset, val: frozenset) -> HigherOrderModel:
@@ -204,7 +207,8 @@ def evaluate(m: HigherOrderModel, path: Iterable[str], f: Formula) -> bool:
     below = kernel.below.get(path)
     if below is None:
         raise BadPathError(f"no object or world at path {path!r}")
-    ext, err = kernel.forcing(f)
+    hit = kernel._forcing.get(id(f))
+    _, ext, err = hit if hit is not None and hit[0] is f else (f, *kernel.forcing(f))
     miss = below & (~ext | err)
     if miss & err and err >> min(points(miss), key=kernel.rank.__getitem__) & 1:
         if kernel.gap:

@@ -18,7 +18,7 @@ from functools import reduce
 from operator import and_
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .formulas import And, Atom, Bottom, Box, Formula, Implies, Or
+from .formulas import And, Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -269,15 +269,18 @@ class Kernel:
     an int bitmask.  up[i] holds the points at or above i; box[i] and dia[i]
     hold the points that box and diamond read from i, and are None where the
     semantics has no modal clauses.  Each semantics differs from the others
-    only in the rows it builds."""
+    only in the rows it builds.  unknown(p) is the error for a point p that
+    index lacks."""
 
     def __init__(self, index: Mapping, up: list[int], atoms: Mapping[str, int],
-                 box: list[int] | None = None, dia: list[int] | None = None):
+                 box: list[int] | None = None, dia: list[int] | None = None,
+                 unknown=UnknownWorldError):
         self.index, self.up, self.atoms, self.box, self.dia = index, up, atoms, box, dia
+        self.unknown = unknown
         self.full = (1 << len(up)) - 1  # every point
-        # extensions of -> / [] / <> nodes, keyed by the class and the mask
-        # that _select reads, so equal subformulas share one entry
-        self._nodes: dict[tuple, int] = {}
+        # extensions of -> / [] / <> nodes, one dict per connective keyed by
+        # the mask that _select reads, so equal subformulas share one entry
+        self._nodes: dict[type, dict[int, int]] = {Implies: {}, Box: {}, Diamond: {}}
         self._roots: dict[int, tuple[Formula, int]] = {}  # id(f) -> (f, extension)
 
     def extension(self, f: Formula) -> int:
@@ -303,55 +306,55 @@ class Kernel:
             elif cls is Bottom:
                 append(0)
             else:
-                key = (cls, exts[a] & ~exts[b] if cls is Implies else exts[a])
-                ext = nodes.get(key)
+                mask, memo = exts[a] & ~exts[b] if cls is Implies else exts[a], nodes[cls]
+                ext = memo.get(mask)
                 if ext is None:
-                    ext = nodes[key] = self._select(*key)
+                    ext = memo[mask] = self._select(cls, mask)
                 append(ext)
         return keys, exts
 
     def _select(self, cls, mask: int) -> int:
-        """Points whose row misses mask (-> over up, box over box) or meets it
-        (diamond over dia).  For -> the mask is A & ~B, for box and diamond
-        the extension of the inner formula."""
-        if cls is Implies:
-            rows, meets = self.up, False
-        elif self.box is None:
+        """Points whose row meets mask (diamond over dia), or misses it (->
+        over up; box over box, with the mask turned).  For -> the mask is
+        A & ~B, for box and diamond the extension of the inner formula."""
+        if cls is not Implies and self.box is None:
             raise UnsupportedConnectiveError(
                 f"propositional models have no clause for {cls.__name__}")
-        elif cls is Box:
-            rows, mask, meets = self.box, ~mask, False
-        else:
-            rows, meets = self.dia, True
         out = 0
+        if cls is Diamond:
+            for i, row in enumerate(self.dia):
+                if row & mask:
+                    out |= 1 << i
+            return out
+        rows, mask = (self.up, mask) if cls is Implies else (self.box, ~mask)
         for i, row in enumerate(rows):
-            if bool(row & mask) == meets:
+            if not row & mask:
                 out |= 1 << i
         return out
 
     def entailed(self, gamma: Iterable[Formula], f: Formula) -> int:
         """Bitmask of the points where gamma entails f: f's extension when
         gamma is empty, else the points whose up row misses every point that
-        forces all of gamma and not f, memoised under the key of the -> node
-        with that mask.  Reads gamma in order, then f."""
+        forces all of gamma and not f, memoised as the -> node with that
+        mask.  Reads gamma in order, then f."""
         premises = [self.extension(g) for g in gamma]
         ext = self.extension(f)
         if not premises:
             return ext
-        key = (Implies, reduce(and_, premises) & ~ext)
-        hit = self._nodes.get(key)
+        mask, memo = reduce(and_, premises) & ~ext, self._nodes[Implies]
+        hit = memo.get(mask)
         if hit is None:
-            hit = self._nodes[key] = self._select(*key)
+            hit = memo[mask] = self._select(Implies, mask)
         return hit
 
     def entails(self, p, gamma: Iterable[Formula], f: Formula) -> bool:
         """Forcing of f at p when gamma is empty: one bit of f's memoised
         extension.  Otherwise one bit of entailed.  An unknown p raises
-        UnknownWorldError."""
+        unknown(p)."""
         try:
             i = self.index[p]
         except KeyError:
-            raise UnknownWorldError(p) from None
+            raise self.unknown(p) from None
         if gamma:
             return self.entailed(gamma, f) >> i & 1 == 1
         hit = self._roots.get(id(f))
@@ -412,7 +415,7 @@ def build_prop_model(frame: Frame, val: Mapping[World, Iterable[str]]) -> PropMo
 
 def forces(model: PropModel, w: World, f: Formula) -> bool:
     """Intuitionistic forcing at w: atoms by valuation, -> quantifies over later worlds."""
-    return entails(model, w, (), f)
+    return model.kernel.entails(w, (), f)
 
 
 def entails(model: PropModel, w: World, gamma: Iterable[Formula], f: Formula) -> bool:

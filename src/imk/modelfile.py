@@ -70,8 +70,8 @@ class RawModel(Record, frozen=False):
         return build_prop_model(self.frame(), self.val)
 
     def to_birelational(self) -> BirelationalModel:
-        prop = self.to_prop_model()
-        return BirelationalModel(prop.frame, frozenset(self.r), prop.val)
+        return BirelationalModel(self.frame(), frozenset(self.r), frozenset(
+            (w, atom) for w, atoms in self.val.items() for atom in atoms))
 
 
 class Document(Record, frozen=False):
