@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
-from .kripke import Frame, Kernel, ModelError, PropModel, World, _image, points
+from .kripke import Frame, Kernel, ModelError, PropModel, World, _image, _rows, points
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -48,11 +48,11 @@ class BirelationalModel(Record):
         set_field(self, "frame", frame)
         set_field(self, "r", r)
         set_field(self, "val", val)
-        worlds = frame.worlds
-        for a, b in r:
-            if a not in worlds or b not in worlds:  # report the least bad pair
-                a, b = min(p for p in r if p[0] not in worlds or p[1] not in worlds)
-                raise ModelError(f"r endpoint {a!r} or {b!r} is not a world")
+        index, up = frame.compiled
+        rows, rinv = _rows(index, r, lambda a, b: ModelError(
+            f"r endpoint {a!r} or {b!r} is not a world"), converse=True)
+        # over frame.compiled's numbering: up, r and its converse rinv
+        set_field(self, "rows", {"up": up, "r": rows, "rinv": rinv})
         self.prop  # the propositional validation (heredity, known worlds)
 
     @cached
@@ -72,17 +72,6 @@ class BirelationalModel(Record):
     def admitted(self) -> dict:
         """_kernel's kernels so far, by require_unique and then by rank."""
         return {True: {}, False: {}}
-
-    @cached
-    def rows(self) -> dict[str, list[int]]:
-        """Over frame.compiled's numbering: up, r and its converse rinv."""
-        index, up = self.frame.compiled
-        r, rinv = [0] * len(up), [0] * len(up)
-        for a, b in self.r:
-            i, j = index[a], index[b]
-            r[i] |= 1 << j
-            rinv[j] |= 1 << i
-        return {"up": up, "r": r, "rinv": rinv}
 
     @cached
     def ik_kernel(self) -> Kernel:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, build_frame, is_partial_copy)
+                     World, _rows, build_frame, is_partial_copy)
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -58,13 +58,11 @@ class GeneralModel(Record):
         set_field(self, "succ", succ)
         if not submodels:
             raise ModelError("a general model needs at least one submodel")
-        ids = {k for k, _ in submodels}
+        ids = {k: i for i, (k, _) in enumerate(submodels)}
         if len(ids) != len(submodels):
             raise ModelError("duplicate submodel id")
-        for a, b in succ:
-            if a not in ids or b not in ids:  # report the least bad pair
-                a, b = min(p for p in succ if p[0] not in ids or p[1] not in ids)
-                raise ModelError(f"succ endpoint {a!r} or {b!r} is not a declared submodel")
+        _rows(ids, succ, lambda a, b: ModelError(
+            f"succ endpoint {a!r} or {b!r} is not a declared submodel"))
 
     @property
     def ids(self) -> list[str]:
@@ -249,10 +247,8 @@ def modular_mk_evaluate(family: Mapping[str, PropModel],
             raise CarrierMismatchError(f"member {kid!r} has carrier {carrier(member.frame)}, "
                                        f"expected {carrier(first)}")
     succ = frozenset(succ)
-    for a, b in succ:
-        if a not in family or b not in family:  # report the least bad pair
-            a, b = min(p for p in succ if p[0] not in family or p[1] not in family)
-            raise ModelError(f"succ endpoint {a!r} or {b!r} is not a family member")
+    _rows({k: i for i, k in enumerate(family)}, succ, lambda a, b: ModelError(
+        f"succ endpoint {a!r} or {b!r} is not a family member"))
     if k not in family:
         raise UnknownSubmodelError(k)
     if w not in first.worlds:

@@ -29,8 +29,8 @@ from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
 from .general import GeneralModel, HomogeneousModel, _cell_kernel
-from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, points,
-                     world_key)
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, _rows,
+                     points)
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -61,7 +61,7 @@ class HigherOrderModel(Record):
             raise ModelError("a model needs at least one object")
         if not self.relations:
             raise ModelError("a model needs at least one relation")
-        names = {n for n, _ in self.objects}
+        names = {n: i for i, (n, _) in enumerate(self.objects)}
         if len(names) != len(self.objects):
             raise ModelError("duplicate object name")
         for name, child in self.objects:
@@ -74,17 +74,11 @@ class HigherOrderModel(Record):
                 raise ModelError(
                     f"object {name!r} has level {child.level}, expected {self.level - 1}")
         for rel_name, pairs in self.relations:
-            for a, b in pairs:
-                if a not in names or b not in names:  # report the least bad pair
-                    a, b = min(p for p in pairs if p[0] not in names or p[1] not in names)
-                    raise ModelError(
-                        f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object")
+            _rows(names, pairs, lambda a, b: ModelError(
+                f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object"))
         if self.level > 0 and self.val:
             raise ModelError("only level-0 models carry a valuation")
-        for w, _ in self.val:
-            if w not in names:  # report the least unknown world
-                raise UnknownWorldError(min((v for v, _ in self.val if v not in names),
-                                            key=world_key))
+        _rows(names, self.val, lambda w, _: UnknownWorldError(w), labels=True)
 
     def object_names(self) -> list[str]:
         return [n for n, _ in self.objects]

@@ -24,7 +24,7 @@ from .memo import Record, cached, set_field
 __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
-    "build_frame", "build_prop_model", "relation_masks", "label_masks",
+    "build_frame", "build_prop_model", "relation_masks",
     "points", "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "sub_frame", "world_key",
 ]
@@ -151,12 +151,34 @@ def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
     return rows
 
 
-def label_masks(index: Mapping, pairs: Iterable[tuple]) -> dict[str, int]:
-    """For (point, atom) pairs: each atom's set of points as a bitmask."""
-    out: dict[str, int] = {}
-    for p, atom in pairs:
-        out[atom] = out.get(atom, 0) | 1 << index[p]
-    return out
+def _rows(index: Mapping, pairs: Iterable[tuple], error, converse: bool = False,
+          labels: bool = False):
+    """The pairs (a, b) numbered by index in the pass that checks them: their
+    rows, row index[a] holding bit index[b], and with converse the converse
+    rows too; with labels each b is a label, and the result is each label's
+    mask of points.  Where index lacks an a, or a b that is a point, the
+    least such pair in world_key order raises error(a, b), whatever the set
+    order; that search reads pairs again, so pairs is not an iterator."""
+    rows = {} if labels else [0] * len(index)
+    try:
+        if labels:
+            for a, b in pairs:
+                rows[b] = rows.get(b, 0) | 1 << index[a]
+        elif not converse:
+            for a, b in pairs:
+                rows[index[a]] |= 1 << index[b]
+        else:
+            conv = [0] * len(index)
+            for a, b in pairs:
+                i, j = index[a], index[b]
+                rows[i] |= 1 << j
+                conv[j] |= 1 << i
+            return rows, conv
+    except KeyError:
+        raise error(*min((p for p in pairs if p[0] not in index
+                          or not labels and p[1] not in index),
+                         key=lambda p: (world_key(p[0]), world_key(p[1])))) from None
+    return rows
 
 
 def points(mask: int) -> Iterator[int]:
@@ -188,12 +210,9 @@ class Frame(Record):
     def __init__(self, worlds: frozenset, le: frozenset):
         if not worlds:
             raise ModelError("a frame needs at least one world")
-        for a, b in le:
-            if a not in worlds or b not in worlds:  # report the least bad pair
-                a, b = min(p for p in le if p[0] not in worlds or p[1] not in worlds)
-                raise ModelError(f"le endpoint {a!r} or {b!r} is not a world")
         index = _numbering(worlds)
-        gens, names = relation_masks(index, le), list(index)
+        gens, names = _rows(index, le, lambda a, b: ModelError(
+            f"le endpoint {a!r} or {b!r} is not a world")), list(index)
         for i, row in enumerate(gens):
             if not row >> i & 1:
                 raise ModelError(f"le is not reflexive at {names[i]!r}")
@@ -252,13 +271,8 @@ def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame
     generators, closed as bitmask rows in one pass over their components."""
     ws = frozenset(worlds)
     index = _numbering(ws)
-    gens = [0] * len(index)
-    for a, b in le_generators:
-        try:
-            gens[index[a]] |= 1 << index[b]
-        except KeyError:
-            raise ModelError(f"le generator ({a!r}, {b!r}) has an endpoint "
-                             "outside the world set") from None
+    gens = _rows(index, tuple(le_generators), lambda a, b: ModelError(
+        f"le generator ({a!r}, {b!r}) has an endpoint outside the world set"))
     if not ws:
         raise ModelError("a frame needs at least one world")
     return _frame(ws, index, gens)
@@ -375,22 +389,14 @@ class PropModel(Record):
     def __init__(self, frame: Frame, val: frozenset):
         set_field(self, "frame", frame)
         set_field(self, "val", val)
-        worlds = frame.worlds
-        for w, _ in val:
-            if w not in worlds:  # report the least unknown world
-                raise UnknownWorldError(min((v for v, _ in val if v not in worlds),
-                                            key=world_key))
         index, up = frame.compiled
-        masks = self.atom_masks
+        masks = _rows(index, val, lambda w, _: UnknownWorldError(w), labels=True)
+        set_field(self, "atom_masks", masks)  # each atom's worlds
         for w, atom in val:
             if up[index[w]] & ~masks[atom]:  # the least (world, atom), its least missing world
                 low, atom = min((index[v], a) for v, a in val if up[index[v]] & ~masks[a])
                 names = list(index)
                 raise HeredityError(names[low], names[next(points(up[low] & ~masks[atom]))], atom)
-
-    @cached
-    def atom_masks(self) -> dict[str, int]:
-        return label_masks(self.frame.compiled[0], self.val)
 
     @cached
     def kernel(self) -> Kernel:

@@ -204,6 +204,7 @@ def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrde
             elif raw.r:
                 m = raw.to_birelational()
                 child = from_birelational(m.frame, m.r, m.val)
+                set_field(child, "prop", m.prop)  # as wrap_prop_model does
             else:
                 child = wrap_prop_model(raw.to_prop_model())
             objects.append((child_name, child))

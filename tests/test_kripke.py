@@ -204,8 +204,19 @@ class TestLeastOffender:
         (lambda: HigherOrderModel(0, (("w", None),), (("le", frozenset({("w", "w")})),),
                                   frozenset({("w", "p"), ("ghost", "q")})),
          "unknown world 'ghost'"),
+        (lambda: build_frame({"a"}, {("a", "x"), ("a", "y"), ("z", "a"), ("a", "w")}),
+         "le generator ('a', 'w') has an endpoint outside the world set"),
+        (lambda: build_frame({"a"}, (p for p in [("a", "x"), ("z", "a"), ("a", "w")])),
+         "le generator ('a', 'w') has an endpoint outside the world set"),
+        (lambda: BirelationalModel(build_frame("a", ()), frozenset({("a", "z"), ("y", "a")}),
+                                   frozenset({("ghost", "p")})),
+         "r endpoint 'a' or 'z' is not a world"),
+        (lambda: HigherOrderModel(0, (("w", None),), (("le", frozenset(
+            {("w", "w"), ("w", "z"), ("y", "w"), ("w", "x")})),)),
+         "relation 'le' endpoint 'w' or 'x' is not an object"),
     ], ids=["reflexive", "le_endpoint", "transitive", "reflexive_first", "val_world",
-            "r_endpoint", "succ_endpoint", "level0_val_world"])
+            "r_endpoint", "succ_endpoint", "level0_val_world", "generators_set",
+            "generators_iterator", "r_before_val", "relation_endpoint"])
     def test_exact_message(self, build, message):
         with pytest.raises(ModelError) as info:
             build()
@@ -240,17 +251,22 @@ class TestLeastOffender:
         import sys
         from pathlib import Path
         import imk
-        script = ("from imk.kripke import Frame\n"
+        script = ("from imk.kripke import Frame, build_frame\n"
                   "for le in [{('a', 'a')}, {('a', 'z'), ('y', 'a'), ('a', 'x')}]:\n"
                   "    try:\n"
                   "        Frame(frozenset('abcdefgh'), frozenset(le))\n"
                   "    except ValueError as exc:\n"
-                  "        print(exc)\n")
+                  "        print(exc)\n"
+                  "try:\n"
+                  "    build_frame({'a'}, {('a', 'x'), ('a', 'y'), ('z', 'a'), ('a', 'w')})\n"
+                  "except ValueError as exc:\n"
+                  "    print(exc)\n")
         src = str(Path(imk.__file__).parents[1])
         outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
                 for seed in ("0", "1", "2", "3")}
-        assert outs == {"le is not reflexive at 'b'\nle endpoint 'a' or 'x' is not a world\n"}
+        assert outs == {"le is not reflexive at 'b'\nle endpoint 'a' or 'x' is not a world\n"
+                        "le generator ('a', 'w') has an endpoint outside the world set\n"}
 
 
 class TestBuildPropModel:

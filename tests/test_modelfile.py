@@ -10,6 +10,7 @@ from imk import build_frame, build_prop_model, evaluate, general_model, lift, pa
 from imk.general import HomogeneousModel
 from imk.flatten import flatten
 from imk.higher import HigherOrderModel, PolicyGapError, from_birelational
+from imk.kripke import Frame, PropModel
 from imk.modelfile import (ModelFileError, dump_birelational, dump_general,
                            dump_higher, dump_prop_model, loads)
 from imk.search import SearchBounds, enumerate_models
@@ -173,6 +174,26 @@ class TestRoundTrip:
         assert "rel r\n" in dump_higher(HigherOrderModel(1, (("K", point),),
                                                            (("succ", frozenset()),)))
         assert dump_higher(loads(NESTED).as_higher()) == NESTED
+
+    def test_r_line_object_keeps_the_readers_prop(self):
+        """A level-0 object with r lines gets the model the reader built and
+        checked as its prop, equal to the one its pairs would build."""
+        block = "model K{}\nworlds w1 w2\nle w1 w2\nr w{} w2\nval w2 : p\nend\n"
+        text = "nmodel H level 1\n" + block.format(1, 1) + block.format(2, 2) + \
+            "rel succ K1 K2\nrel succ K2 K1\nend\n"
+        m = loads(text).as_higher()
+        fresh = HigherOrderModel(1, tuple((k, from_birelational(
+            build_frame(c.object_names(), c.relation("le")), c.relation("r"), c.val))
+            for k, c in m.objects), m.relations)
+        assert fresh == m
+        for (_, child), (_, other) in zip(m.objects, fresh.objects):
+            assert "prop" in vars(child) and "prop" not in vars(other)
+            assert child.prop == PropModel(Frame(frozenset(child.object_names()),
+                                                 child.relation("le")), child.val)
+        for f in ("p", "[]p", "<>p", "~p -> <>p", "[](p -> <>p)"):
+            for path in [()] + [(k,) for k in ("K1", "K2")] + \
+                    [(k, w) for k in ("K1", "K2") for w in ("w1", "w2")]:
+                assert evaluate(m, path, parse(f)) == evaluate(fresh, path, parse(f))
 
     def test_level_zero_alone_is_refused(self):
         with pytest.raises(ValueError, match="level 1 and above"):
