@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, _rows, build_frame, is_partial_copy)
+                     World, _least_bad, _rows, build_frame, is_partial_copy)
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -58,11 +58,13 @@ class GeneralModel(Record):
         set_field(self, "succ", succ)
         if not submodels:
             raise ModelError("a general model needs at least one submodel")
-        ids = {k: i for i, (k, _) in enumerate(submodels)}
+        ids = {k for k, _ in submodels}
         if len(ids) != len(submodels):
             raise ModelError("duplicate submodel id")
-        _rows(ids, succ, lambda a, b: ModelError(
-            f"succ endpoint {a!r} or {b!r} is not a declared submodel"))
+        for a, b in succ:  # a check only: search builds one of these per candidate
+            if a not in ids or b not in ids:
+                a, b = _least_bad(ids, succ)
+                raise ModelError(f"succ endpoint {a!r} or {b!r} is not a declared submodel")
 
     @property
     def ids(self) -> list[str]:

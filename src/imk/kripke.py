@@ -24,7 +24,7 @@ from .memo import Record, cached, set_field
 __all__ = [
     "World", "Frame", "PropModel",
     "ModelError", "HeredityError", "UnknownWorldError", "UnsupportedConnectiveError",
-    "build_frame", "build_prop_model", "relation_masks",
+    "build_frame", "build_prop_model",
     "points", "Kernel", "forces", "entails", "model_valid",
     "is_partial_copy", "upward_restrict", "sub_frame", "world_key",
 ]
@@ -143,22 +143,14 @@ def _image(plan: list[tuple], rows: list[int]) -> list[int]:
     return out
 
 
-def relation_masks(index: Mapping, pairs: Iterable[Pair]) -> list[int]:
-    """Row i holds bit j for every pair (a, b) with index[a] == i, index[b] == j."""
-    rows = [0] * len(index)
-    for a, b in pairs:
-        rows[index[a]] |= 1 << index[b]
-    return rows
-
-
 def _rows(index: Mapping, pairs: Iterable[tuple], error, converse: bool = False,
           labels: bool = False):
     """The pairs (a, b) numbered by index in the pass that checks them: their
     rows, row index[a] holding bit index[b], and with converse the converse
     rows too; with labels each b is a label, and the result is each label's
     mask of points.  Where index lacks an a, or a b that is a point, the
-    least such pair in world_key order raises error(a, b), whatever the set
-    order; that search reads pairs again, so pairs is not an iterator."""
+    _least_bad pair raises error(a, b); that search reads pairs again, so
+    pairs is not an iterator."""
     rows = {} if labels else [0] * len(index)
     try:
         if labels:
@@ -175,10 +167,15 @@ def _rows(index: Mapping, pairs: Iterable[tuple], error, converse: bool = False,
                 conv[j] |= 1 << i
             return rows, conv
     except KeyError:
-        raise error(*min((p for p in pairs if p[0] not in index
-                          or not labels and p[1] not in index),
-                         key=lambda p: (world_key(p[0]), world_key(p[1])))) from None
+        raise error(*_least_bad(index, pairs, labels)) from None
     return rows
+
+
+def _least_bad(known, pairs: Iterable[tuple], labels: bool = False) -> tuple:
+    """The least pair in world_key order whose a, or (without labels) b, is
+    not in known, whatever the set order."""
+    return min((p for p in pairs if p[0] not in known or not labels and p[1] not in known),
+               key=lambda p: (world_key(p[0]), world_key(p[1])))
 
 
 def points(mask: int) -> Iterator[int]:

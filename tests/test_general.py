@@ -12,13 +12,21 @@ from imk.formulas import BOTTOM, Box, subformulas
 from imk.general import (CLASSICAL_POINT, CarrierMismatchError, GeneralModel,
                          InvalidModelClassError, UnknownSubmodelError,
                          classical_member)
-from imk.kripke import ModelError, UnknownWorldError, relation_masks
+from imk.kripke import ModelError, UnknownWorldError
 
 from gen import (classical_k_forces, formula_pool, homogeneous_corpus,
                  naive_family_entails, naive_homogeneous_forces,
                  naive_partial_forces, naive_same_world_forces, pair_homogeneous,
                  pair_partial_links, partial_corpus, random_homogeneous_model,
                  random_same_carrier_family)
+
+
+def relation_masks(index, pairs):
+    """Row i holds bit j for every pair (a, b) with index[a] == i, index[b] == j."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
 
 
 def timeline_family(succ):
