@@ -109,35 +109,20 @@ class ParseError(ValueError):
         self.position = position
 
 
-_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_PUNCT = ("_|_", "->", "[]", "<>", "~", "&", "|", "(", ")", "T")
+# Tokens: blanks and '#' comments (no token), atoms, the ten punctuation lexemes, bad characters.
+_TOKEN_RE = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<atom>[a-z][a-zA-Z0-9_]*)"
+                       r"|(?P<punct>_\|_|->|\[\]|<>|[~&|()T])|(?P<bad>.)", re.S)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, lexeme, 1-based position); '#' comments run to end of line."""
+    """(kind, lexeme, 1-based position) of each token, one match apiece."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            tokens.append(("atom", m.group(), i + 1))
-            i = m.end()
-            continue
-        for lexeme in _PUNCT:
-            if text.startswith(lexeme, i):
-                tokens.append(("punct", lexeme, i + 1))
-                i += len(lexeme)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind:
+            tokens.append((kind, m.group(), m.start() + 1))
     return tokens
 
 

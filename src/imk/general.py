@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .formulas import Formula
 from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError,
-                     World, _least_bad, _rows, build_frame, is_partial_copy)
+                     World, _least_bad, build_frame, is_partial_copy)
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -116,7 +116,8 @@ class PartialModel(Record):
     def kernel(self) -> Kernel:
         """Box links (k, w) to every (k2, w2) with k succ k2 and w <= w2 in
         the reference order; diamond links (k, w) to (k2, w)."""
-        return _cell_kernel(self.general, self.general.submodel(self.reference).frame)
+        g = self.general
+        return _cell_kernel(g.submodels, g.succ, g.submodel(self.reference).frame)
 
 
 class HomogeneousModel(Record):
@@ -133,19 +134,21 @@ class HomogeneousModel(Record):
 
     @cached
     def kernel(self) -> Kernel:
-        return _cell_kernel(self.general)
+        return _cell_kernel(self.general.submodels, self.general.succ)
 
 
-def _cell_kernel(g: GeneralModel, reference: Frame | None = None) -> Kernel:
-    """Kernel over the (member, world) cells of g, numbered in g.cells()
-    order; the order and the valuation stay inside each member.  Diamond
-    links (k, w) to (k2, w) when k succ k2.  Box reads the same links, or
-    with a reference frame the cells of k2 at or above w in its order."""
+def _cell_kernel(submodels: Iterable[tuple], succ: Iterable[tuple],
+                 reference: Frame | None = None) -> Kernel:
+    """Kernel over the (member, world) cells of the (id, PropModel) pairs in
+    submodels, in that order; the order and the valuation stay inside each
+    member.  Diamond links (k, w) to (k2, w) when k succ k2.  Box reads the
+    same links, or with a reference frame the cells of k2 at or above w in
+    its order.  An unknown member is named before an unknown world."""
     cells: dict = {}
     up: list[int] = []
     atoms: dict[str, int] = {}
     start = {}  # member -> its first cell and its world numbers
-    for k, m in g.submodels:
+    for k, m in submodels:
         offset = len(up)
         worlds, rows = m.frame.compiled
         start[k] = offset, worlds
@@ -154,7 +157,7 @@ def _cell_kernel(g: GeneralModel, reference: Frame | None = None) -> Kernel:
         for atom, mask in m.atom_masks.items():
             atoms[atom] = atoms.get(atom, 0) | mask << offset
     box, dia = [0] * len(up), [0] * len(up)
-    for k, k2 in g.succ:
+    for k, k2 in succ:
         (here, worlds), (offset, there) = start[k], start[k2]
         for w, i in worlds.items():
             j = there.get(w)
@@ -249,10 +252,7 @@ def modular_mk_evaluate(family: Mapping[str, PropModel],
             raise CarrierMismatchError(f"member {kid!r} has carrier {carrier(member.frame)}, "
                                        f"expected {carrier(first)}")
     succ = frozenset(succ)
-    _rows({k: i for i, k in enumerate(family)}, succ, lambda a, b: ModelError(
-        f"succ endpoint {a!r} or {b!r} is not a family member"))
-    if k not in family:
-        raise UnknownSubmodelError(k)
-    if w not in first.worlds:
-        raise UnknownWorldError(w)
-    return _cell_kernel(general_model(family, succ)).entails((k, w), (), f)
+    bad = _least_bad(family, succ)
+    if bad:
+        raise ModelError(f"succ endpoint {bad[0]!r} or {bad[1]!r} is not a family member")
+    return _cell_kernel(sorted(family.items()), succ).entails((k, w), (), f)

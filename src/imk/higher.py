@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .formulas import Atom, Bottom, Box, Diamond, Formula, Implies, Or
-from .general import GeneralModel, HomogeneousModel, _cell_kernel
-from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, _rows,
+from .general import HomogeneousModel, _cell_kernel
+from .kripke import (Frame, Kernel, ModelError, PropModel, UnknownWorldError, _least_bad,
                      points)
 from .memo import Record, cached, set_field
 
@@ -61,7 +61,7 @@ class HigherOrderModel(Record):
             raise ModelError("a model needs at least one object")
         if not self.relations:
             raise ModelError("a model needs at least one relation")
-        names = {n: i for i, (n, _) in enumerate(self.objects)}
+        names = {n for n, _ in self.objects}
         if len(names) != len(self.objects):
             raise ModelError("duplicate object name")
         for name, child in self.objects:
@@ -74,11 +74,15 @@ class HigherOrderModel(Record):
                 raise ModelError(
                     f"object {name!r} has level {child.level}, expected {self.level - 1}")
         for rel_name, pairs in self.relations:
-            _rows(names, pairs, lambda a, b: ModelError(
-                f"relation {rel_name!r} endpoint {a!r} or {b!r} is not an object"))
+            bad = _least_bad(names, pairs)
+            if bad:
+                raise ModelError(f"relation {rel_name!r} endpoint {bad[0]!r} or {bad[1]!r} "
+                                 "is not an object")
         if self.level > 0 and self.val:
             raise ModelError("only level-0 models carry a valuation")
-        _rows(names, self.val, lambda w, _: UnknownWorldError(w), labels=True)
+        bad = _least_bad(names, self.val, labels=True)
+        if bad:
+            raise UnknownWorldError(bad[0])
 
     def object_names(self) -> list[str]:
         return [n for n, _ in self.objects]
@@ -131,11 +135,13 @@ def is_unirelational(m: HigherOrderModel) -> bool:
         m.level == 0 or all(is_unirelational(c) for _, c in m.objects))
 
 
-def _bottoms(m: HigherOrderModel, prefix: tuple = ()) -> list[tuple]:
-    """(path prefix, level-0 model) pairs in declared depth-first order."""
-    if m.level == 0:
-        return [(prefix, m)]
-    return [pb for k, child in m.objects for pb in _bottoms(child, prefix + (k,))]
+def _bottoms(m: HigherOrderModel) -> list[tuple]:
+    """(path prefix, level-0 model) pairs in declared depth-first order, one
+    level at a time: every object of a level has the same level."""
+    layer = [((), m)]
+    for _ in range(m.level):
+        layer = [(p + (k,), child) for p, b in layer for k, child in b.objects]
+    return layer
 
 
 class _LayeredKernel(Kernel):
@@ -155,8 +161,7 @@ class _LayeredKernel(Kernel):
             f"model has level {m.level}, relations {[n for n, _ in m.relations]}")
         shifts = [] if self.gap else [(p, (b,) + p[1:]) for a, b in m.relations[0][1]
                                       for p in members if p[0] == a]
-        k = _cell_kernel(GeneralModel(tuple(members.items()),
-                                      frozenset(s for s in shifts if s[1] in members)))
+        k = _cell_kernel(tuple(members.items()), [s for s in shifts if s[1] in members])
         super().__init__(k.index, k.up, k.atoms, k.box, k.dia)
         self.below: dict[tuple, int] = {}
         self.rank = [0] * len(k.index)

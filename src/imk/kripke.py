@@ -171,11 +171,11 @@ def _rows(index: Mapping, pairs: Iterable[tuple], error, converse: bool = False,
     return rows
 
 
-def _least_bad(known, pairs: Iterable[tuple], labels: bool = False) -> tuple:
+def _least_bad(known, pairs: Iterable[tuple], labels: bool = False) -> tuple | None:
     """The least pair in world_key order whose a, or (without labels) b, is
-    not in known, whatever the set order."""
+    not in known, whatever the set order; None when there is none."""
     return min((p for p in pairs if p[0] not in known or not labels and p[1] not in known),
-               key=lambda p: (world_key(p[0]), world_key(p[1])))
+               key=lambda p: (world_key(p[0]), world_key(p[1])), default=None)
 
 
 def points(mask: int) -> Iterator[int]:
@@ -325,23 +325,19 @@ class Kernel:
         return keys, exts
 
     def _select(self, cls, mask: int) -> int:
-        """Points whose row meets mask (diamond over dia), or misses it (->
-        over up; box over box, with the mask turned).  For -> the mask is
+        """Points whose row misses mask (-> over up; box over box, with the mask
+        turned), or meets it (diamond over dia: the rest).  For -> the mask is
         A & ~B, for box and diamond the extension of the inner formula."""
         if cls is not Implies and self.box is None:
             raise UnsupportedConnectiveError(
                 f"propositional models have no clause for {cls.__name__}")
+        rows, mask = (self.up, mask) if cls is Implies else \
+            (self.box, ~mask) if cls is Box else (self.dia, mask)
         out = 0
-        if cls is Diamond:
-            for i, row in enumerate(self.dia):
-                if row & mask:
-                    out |= 1 << i
-            return out
-        rows, mask = (self.up, mask) if cls is Implies else (self.box, ~mask)
         for i, row in enumerate(rows):
             if not row & mask:
                 out |= 1 << i
-        return out
+        return self.full & ~out if cls is Diamond else out
 
     def entailed(self, gamma: Iterable[Formula], f: Formula) -> int:
         """Bitmask of the points where gamma entails f: f's extension when

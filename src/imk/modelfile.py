@@ -177,19 +177,24 @@ def _parse_model_block(name: str, start: int, stream, rels: dict | None = None) 
 
 
 def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrderModel:
-    objects: list[tuple[str, HigherOrderModel]] = []
-    relations: dict[str, set[tuple[str, str]]] = {}
+    """An nmodel block and those nested in it, without recursion: blocks holds
+    the open ones, innermost last, as (name, level, line, objects, relations)."""
+    blocks = [(name, level, start, [], {})]
     for lineno, toks in stream:
+        name, level, start, objects, relations = blocks[-1]
         head = toks[0]
         if head == "end":
             if not relations:
-                raise ModelFileError(
-                    f"nmodel {name!r} declares no rel lines", start)
+                raise ModelFileError(f"nmodel {name!r} declares no rel lines", start)
             try:
-                return HigherOrderModel(level, tuple(objects), _relations(relations))
+                m = HigherOrderModel(level, tuple(objects), _relations(relations))
             except ValueError as exc:
                 raise ModelFileError(f"nmodel {name!r}: {exc}", start)
-        if head == "model":
+            blocks.pop()
+            if not blocks:
+                return m
+            blocks[-1][3].append((name, m))
+        elif head == "model":
             if len(toks) != 2:
                 raise ModelFileError("model line looks like: model <Id>", lineno)
             child_name, rels = _want_id(toks[1], lineno), {}
@@ -201,22 +206,19 @@ def _parse_nmodel_block(name: str, level: int, start: int, stream) -> HigherOrde
                                              _relations(rels), val)
                 except ValueError as exc:
                     raise ModelFileError(f"model {child_name!r}: {exc}", lineno)
-            elif raw.r:
-                m = raw.to_birelational()
-                child = from_birelational(m.frame, m.r, m.val)
-                set_field(child, "prop", m.prop)  # as wrap_prop_model does
             else:
-                child = wrap_prop_model(raw.to_prop_model())
+                prop = raw.to_prop_model()
+                child = from_birelational(prop.frame, frozenset(raw.r), prop.val) \
+                    if raw.r else wrap_prop_model(prop)
+                set_field(child, "prop", prop)  # as wrap_prop_model does
             objects.append((child_name, child))
         elif head == "nmodel":
-            child_name, child_level = _parse_nmodel_header(toks, lineno)
-            objects.append((child_name,
-                            _parse_nmodel_block(child_name, child_level, lineno, stream)))
+            blocks.append((*_parse_nmodel_header(toks, lineno), lineno, [], {}))
         elif head == "rel":
             _rel_line(toks, lineno, relations, _want_id)
         else:
             raise ModelFileError(f"unexpected {head!r} inside an nmodel block", lineno)
-    raise ModelFileError(f"nmodel {name!r} is missing its end line", start)
+    raise ModelFileError(f"nmodel {blocks[-1][0]!r} is missing its end line", blocks[-1][2])
 
 
 def _rel_line(toks, lineno: int, relations: dict, want) -> None:
@@ -356,14 +358,16 @@ def dump_general(g: GeneralModel, reference: str | None = None) -> str:
 
 def _plain_block(m: HigherOrderModel) -> str | None:
     """The body of a plain model block that loads back as the level-0 model
-    m (its relations le, and r if r has pairs), or None if there is none."""
+    m (a prop model, its objects sorted, relations le and r if r has pairs),
+    or None if there is none."""
     try:
         prop = m.prop
     except ModelError:
         return None
     r = dict(m.relations).get("r", frozenset())
-    same = from_birelational(prop.frame, r, m.val) if r else wrap_prop_model(prop)
-    return _block_body(prop.frame, r, m.val) if m == same else None
+    plain = [n for n, _ in m.relations] == ["le", "r"][:1 + bool(r)] \
+        and m.object_names() == prop.frame.sorted_worlds()
+    return _block_body(prop.frame, r, m.val) if plain else None
 
 
 def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:

@@ -137,21 +137,14 @@ def _member_ids(m: int) -> list[str]:
     return [f"K{i}" for i in range(1, m + 1)]
 
 
-class _Relations(dict):
-    """Every succ relation over K1..Km, listed on first use for each m."""
-
-    def __missing__(self, m: int) -> list[frozenset]:
-        self[m] = list(_relation_subsets(_member_ids(m)))
-        return self[m]
-
-
 def _enumerate_families(b: SearchBounds, atoms: list[str]) -> Iterator:
     """K1 carries the full reference frame.  In a partial family later
     members carry upward-closed subframes of it; every partial model has
     this shape up to relabeling.  In a homogeneous family they carry the
     frame itself, and classicalK's frame is one world.  Members are built
-    once per (frame, valuation) and shared by families."""
-    partial, relations = b.logic == "partial", _Relations()
+    once per (frame, valuation) and shared by families; every succ relation
+    over K1..Km is listed on first use for each m."""
+    partial, relations = b.logic == "partial", {}
     for n in [1] if b.logic == "classicalK" else range(1, b.max_worlds + 1):
         for ref in _frames(n):
             names, up = ref.sorted_worlds(), ref.compiled[1]
@@ -165,6 +158,8 @@ def _enumerate_families(b: SearchBounds, atoms: list[str]) -> Iterator:
                 later = [[PropModel(fr, v) for v in _valuations(fr, atoms)] for fr in subs]
             for m in range(1, b.max_submodels + 1):
                 ids = _member_ids(m)
+                if m not in relations:
+                    relations[m] = list(_relation_subsets(ids))
                 for spaces in itertools.product([ref_members], *[later] * (m - 1)):
                     for chosen in itertools.product(*spaces):
                         submodels = tuple(sorted(zip(ids, chosen)))

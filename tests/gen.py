@@ -8,15 +8,50 @@ say "formulas to depth N" draw from a reproducible pool instead.
 from __future__ import annotations
 
 import random
+import re
 
 from imk import (And, Atom, BOTTOM, BirelationalModel, Box, Diamond, FlatWorld,
                  GeneralModel, HigherOrderModel, HomogeneousModel, Implies,
-                 Not, Or, PartialModel, PropModel, general_model,
+                 Not, Or, ParseError, PartialModel, PropModel, general_model,
                  wrap_prop_model)
 from imk.kripke import Frame, world_key
 
 
 # --- formulas ---------------------------------------------------------------
+
+_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_PUNCT = ("_|_", "->", "[]", "<>", "~", "&", "|", "(", ")", "T")
+
+
+def naive_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The formula lexer written character by character: (kind, lexeme,
+    1-based position) of each token; blanks are space, tab, CR and LF, and
+    '#' comments run to end of line."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _ATOM_RE.match(text, i)
+        if m:
+            tokens.append(("atom", m.group(), i + 1))
+            i = m.end()
+            continue
+        for lexeme in _PUNCT:
+            if text.startswith(lexeme, i):
+                tokens.append(("punct", lexeme, i + 1))
+                i += len(lexeme)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i + 1)
+    return tokens
+
 
 def random_formula(rng: random.Random, depth: int, atoms: list[str]):
     leaves = [Atom(a) for a in atoms] + [BOTTOM]

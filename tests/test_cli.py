@@ -304,6 +304,21 @@ class TestCheckCommand:
         assert main(["check", "--model", str(path), "--formula", "p"]) == 1
         assert "use --at" in capsys.readouterr().err
 
+    def test_nmodel_nested_3000_levels(self, tmp_path, capsys):
+        """Nesting depth costs no recursion, in the reader or the kernel."""
+        depth = 3000
+        lines = [f"nmodel N{i} level {i}" for i in range(depth, 0, -1)]
+        lines += ["model K", "worlds w", "val w : p", "end", "rel r K K", "end"]
+        lines += [f"rel r N{i} N{i}\nend" for i in range(1, depth)]
+        path = tmp_path / "deep.km"
+        path.write_text("\n".join(lines) + "\n")
+        at = "w:K:" + ":".join(f"N{i}" for i in range(1, depth))
+        for where, f, value in ((at, "p", "true"), (at, "[]p & <>~~p", "true"),
+                                (at, "<>~p", "false"), (f"N{depth - 1}", "[]p", "true")):
+            assert main(["check", "--model", str(path), "--formula", f, "--at", where]) == 0
+            label = ":".join(reversed(where.split(":")))
+            assert capsys.readouterr().out == f"{label}: {value}\n"
+
     def test_short_nmodel_path_reads_declared_order(self, tmp_path, capsys):
         path = tmp_path / "declared.km"
         path.write_text(DECLARED_ORDER)

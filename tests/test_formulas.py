@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,8 @@ import imk.cli
 
 from imk import (And, Atom, BOTTOM, Box, Diamond, Implies, Not, Or, ParseError,
                  TOP, complexity, parse, render, subformulas)
-from imk.formulas import modal_free
+from gen import naive_tokenize
+from imk.formulas import _tokenize, modal_free
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -80,6 +82,43 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("p q")
+
+
+# Every lexeme and blank, a comment, and characters that are neither or
+# only begin a lexeme.
+LEXER_PIECES = ["_|_", "->", "[]", "<>", "~", "&", "|", "(", ")", "T", "p", "q1", "aB_9",
+                " ", "\t", "\r", "\n", "#", "# note\n", "\x0b", "\x0c", "\u00e9", "_", "-",
+                "[", "]", "<", ">", "A", "0"]
+
+
+def _lexed(lex, text: str):
+    """lex's tokens for text, or its ParseError's message and position."""
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestLexer:
+    def test_matches_the_naive_lexer(self):
+        """The one-regex lexer and the character-by-character one agree on
+        20,000 seeded strings, in tokens or in the error and its position."""
+        rng = random.Random(29)
+        kinds = set()
+        for _ in range(20000):
+            text = "".join(rng.choice(LEXER_PIECES) for _ in range(rng.randint(0, 12)))
+            got = _lexed(_tokenize, text)
+            assert got == _lexed(naive_tokenize, text), text
+            kinds.add(type(got))
+        assert kinds == {list, tuple}  # both tokens and errors were compared
+
+    @pytest.mark.parametrize("text, position, char", [
+        ("p \x0b q", 3, "\x0b"), ("p\x0c", 2, "\x0c"), ("\u00e9", 1, "\u00e9"),
+        ("p & _", 5, "_"), ("p - q", 3, "-"), ("# \u00e9\n\u00e9", 5, "\u00e9")])
+    def test_unexpected_character(self, text, position, char):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
 
 
 def _left_nested_implications(depth: int) -> str:

@@ -375,7 +375,10 @@ class TestModularClauses:
         ({"K1": ONE_WORLD}, set(), "K9", "w", UnknownSubmodelError,
          "unknown submodel 'K9'"),
         ({"K1": ONE_WORLD}, set(), "K1", "v", UnknownWorldError, "unknown world 'v'"),
-    ], ids=["empty", "carrier", "carrier_two", "succ", "succ_least", "member", "world"])
+        ({"K1": ONE_WORLD}, set(), "K9", "v", UnknownSubmodelError,
+         "unknown submodel 'K9'"),
+    ], ids=["empty", "carrier", "carrier_two", "succ", "succ_least", "member", "world",
+            "member_before_world"])
     def test_input_errors(self, family, succ, k, w, error, message):
         with pytest.raises(error) as info:
             modular_mk_evaluate(family, succ, k, w, parse("p"))

@@ -6,7 +6,7 @@ import pytest
 from imk import (BOTTOM, build_frame, build_prop_model, entails, forces,
                  general_model, is_partial_copy, model_valid, parse,
                  upward_restrict, validate_homogeneous, HeredityError,
-                 HigherOrderModel, ModelError, UnknownWorldError)
+                 HigherOrderModel, ModelError, UnknownWorldError, modular_mk_evaluate)
 from imk.birelational import BirelationalModel
 from imk.kripke import (Frame, PropModel, UnsupportedConnectiveError, sub_frame,
                         world_key)
@@ -214,9 +214,17 @@ class TestLeastOffender:
         (lambda: HigherOrderModel(0, (("w", None),), (("le", frozenset(
             {("w", "w"), ("w", "z"), ("y", "w"), ("w", "x")})),)),
          "relation 'le' endpoint 'w' or 'x' is not an object"),
+        (lambda: modular_mk_evaluate(
+            {"K": build_prop_model(build_frame("a", ()), {})},
+            {("K", "X"), ("Y", "K"), ("K", "W"), ("Z", "Z")}, "K", "a", parse("p")),
+         "succ endpoint 'K' or 'W' is not a family member"),
+        (lambda: HigherOrderModel(0, (("w", None),), (("le", frozenset({("w", "w")})),),
+                                  frozenset({("w", "p"), ("z", "q"), ("y", "p"), ("x", "r")})),
+         "unknown world 'x'"),
     ], ids=["reflexive", "le_endpoint", "transitive", "reflexive_first", "val_world",
             "r_endpoint", "succ_endpoint", "level0_val_world", "generators_set",
-            "generators_iterator", "r_before_val", "relation_endpoint"])
+            "generators_iterator", "r_before_val", "relation_endpoint",
+            "modular_succ_endpoint", "level0_val_worlds"])
     def test_exact_message(self, build, message):
         with pytest.raises(ModelError) as info:
             build()

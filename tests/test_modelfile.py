@@ -108,6 +108,18 @@ class TestDiagnostics:
         with pytest.raises(ModelFileError, match=fragment):
             loads(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nmodel X level 2\nnmodel Y level 1\nmodel K\nworlds w\nend\nrel r K K\nend\n"
+         "rel r Y Y\n", "line 1: nmodel 'X' is missing its end line"),
+        ("nmodel X level 2\nnmodel Y level 1\nmodel K\nworlds w\nend\nrel r K K\n",
+         "line 2: nmodel 'Y' is missing its end line"),
+        ("nmodel X level 1\nmodel K\nworlds w\n", "line 2: model 'K' is missing its end line"),
+    ], ids=["outer_holds_closed_inner", "inner", "model"])
+    def test_unclosed_block_named_is_the_innermost(self, text, message):
+        with pytest.raises(ModelFileError) as err:
+            loads(text)
+        assert str(err.value) == message
+
     def test_line_numbers(self):
         with pytest.raises(ModelFileError) as err:
             loads("model K\nworlds w\nle w ghost\nend")
