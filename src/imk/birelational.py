@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .formulas import Formula
-from .kripke import Frame, Kernel, ModelError, PropModel, World, _image, _rows, points
+from .kripke import Frame, Kernel, ModelError, PropModel, World, _rows, points
 from .memo import Record, cached, set_field
 
 __all__ = [
@@ -75,17 +75,15 @@ class BirelationalModel(Record):
 
     @cached
     def ik_kernel(self) -> Kernel:
-        """IK: box reads r from every later world (the image of up under r,
-        in one pass over the frame's plan), diamond reads r."""
-        up, r = self.rows["up"], self.rows["r"]
-        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks,
-                      _image(self.frame.plan, r), r)
+        """IK: diamond reads r, box reads r from every later world."""
+        return Kernel(self.frame.compiled[0], self.rows["up"], self.prop.atom_masks,
+                      self.rows["r"], True)
 
     @cached
     def mk_kernel(self) -> Kernel:
         """MK: box and diamond both read r."""
-        up, r = self.rows["up"], self.rows["r"]
-        return Kernel(self.frame.compiled[0], up, self.prop.atom_masks, r, r)
+        return Kernel(self.frame.compiled[0], self.rows["up"], self.prop.atom_masks,
+                      self.rows["r"])
 
 
 class ConditionReport(Record):

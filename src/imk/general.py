@@ -114,10 +114,8 @@ class PartialModel(Record):
 
     @cached
     def kernel(self) -> Kernel:
-        """Box links (k, w) to every (k2, w2) with k succ k2 and w <= w2 in
-        the reference order; diamond links (k, w) to (k2, w)."""
-        g = self.general
-        return _cell_kernel(g.submodels, g.succ, g.submodel(self.reference).frame)
+        """The IK cell kernel: box reads the links from every later cell."""
+        return _cell_kernel(self.general.submodels, self.general.succ, ik=True)
 
 
 class HomogeneousModel(Record):
@@ -138,12 +136,12 @@ class HomogeneousModel(Record):
 
 
 def _cell_kernel(submodels: Iterable[tuple], succ: Iterable[tuple],
-                 reference: Frame | None = None) -> Kernel:
+                 ik: bool = False) -> Kernel:
     """Kernel over the (member, world) cells of the (id, PropModel) pairs in
     submodels, in that order; the order and the valuation stay inside each
-    member.  Diamond links (k, w) to (k2, w) when k succ k2.  Box reads the
-    same links, or with a reference frame the cells of k2 at or above w in
-    its order.  An unknown member is named before an unknown world."""
+    member.  rel links (k, w) to (k2, w) when k succ k2; with ik, box reads
+    rel from every later cell of k: in a partial family, the cells of k2 at
+    or above w.  An unknown member is named before an unknown world."""
     cells: dict = {}
     up: list[int] = []
     atoms: dict[str, int] = {}
@@ -156,19 +154,16 @@ def _cell_kernel(submodels: Iterable[tuple], succ: Iterable[tuple],
         up += [row << offset for row in rows]
         for atom, mask in m.atom_masks.items():
             atoms[atom] = atoms.get(atom, 0) | mask << offset
-    box, dia = [0] * len(up), [0] * len(up)
+    rel = [0] * len(up)
     for k, k2 in succ:
         (here, worlds), (offset, there) = start[k], start[k2]
         for w, i in worlds.items():
             j = there.get(w)
             if j is not None:
-                dia[here + i] |= 1 << offset + j
-            if reference:  # k2 is upward closed and carries the reference order
-                box[here + i] |= up[offset + j] if j is not None else \
-                    sum(1 << offset + there[v] for v in reference.above(w) if v in there)
+                rel[here + i] |= 1 << offset + j
     def unknown(p):  # an unknown member, else an unknown world of a known one
         return UnknownWorldError(p[1]) if p[0] in start else UnknownSubmodelError(p[0])
-    return Kernel(cells, up, atoms, box if reference else dia, dia, unknown)
+    return Kernel(cells, up, atoms, rel, ik, unknown)
 
 
 def as_partial(g: GeneralModel, reference: str | None = None) -> PartialModel:

@@ -131,17 +131,17 @@ def lift(h: HomogeneousModel) -> HigherOrderModel:
 
 
 def is_unirelational(m: HigherOrderModel) -> bool:
-    return len(m.relations) == 1 and (
-        m.level == 0 or all(is_unirelational(c) for _, c in m.objects))
+    return all(len(b.relations) == 1 for layer in _layers(m) for _, b in layer)
 
 
-def _bottoms(m: HigherOrderModel) -> list[tuple]:
-    """(path prefix, level-0 model) pairs in declared depth-first order, one
-    level at a time: every object of a level has the same level."""
+def _layers(m: HigherOrderModel):
+    """Each level's (path prefix, model) pairs in declared depth-first order,
+    from m down to level 0: every object of a level has the same level."""
     layer = [((), m)]
+    yield layer
     for _ in range(m.level):
         layer = [(p + (k,), child) for p, b in layer for k, child in b.objects]
-    return layer
+        yield layer
 
 
 class _LayeredKernel(Kernel):
@@ -154,15 +154,18 @@ class _LayeredKernel(Kernel):
     when the model has no modal rule (gap says why)."""
 
     def __init__(self, m: HigherOrderModel):
-        bottoms = _bottoms(m)
+        for bottoms in _layers(m):  # down to the level-0 models, one layer kept
+            pass
         members = {p: b.prop for p, b in bottoms}  # the first bad bottom raises
         self.gap = None if m.level and len(m.relations) == 1 else (
             "the mk modal rule needs a single top-level relation above level 0; "
             f"model has level {m.level}, relations {[n for n, _ in m.relations]}")
-        shifts = [] if self.gap else [(p, (b,) + p[1:]) for a, b in m.relations[0][1]
-                                      for p in members if p[0] == a]
+        top: dict = {}  # the prefixes under each top object
+        for p in () if self.gap else members:  # a level-0 model's one prefix is ()
+            top.setdefault(p[0], []).append(p)
+        shifts = [(p, (b,) + p[1:]) for a, b in m.relations[0][1] for p in top.get(a, ())]
         k = _cell_kernel(tuple(members.items()), [s for s in shifts if s[1] in members])
-        super().__init__(k.index, k.up, k.atoms, k.box, k.dia)
+        super().__init__(k.index, k.up, k.atoms, k.rel)
         self.below: dict[tuple, int] = {}
         self.rank = [0] * len(k.index)
         declared = ((p, w) for p, b in bottoms for w in b.object_names())

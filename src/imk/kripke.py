@@ -128,21 +128,6 @@ def _close(gens: list[int]) -> tuple[list[int], list[tuple]]:
     return up, plan
 
 
-def _image(plan: list[tuple], rows: list[int]) -> list[int]:
-    """Row i is the union of rows over the points that point i reaches in
-    the plan: one row operation per point and per generator."""
-    done, out = [], [0] * len(rows)
-    for a, mates, succ in plan:
-        row = rows[a]
-        for b in mates:
-            row |= rows[b]
-        for c in succ:
-            row |= done[c]
-        done.append(row)
-        out[a] = row
-    return out
-
-
 def _rows(index: Mapping, pairs: Iterable[tuple], error, converse: bool = False,
           labels: bool = False):
     """The pairs (a, b) numbered by index in the pass that checks them: their
@@ -277,16 +262,17 @@ def build_frame(worlds: Iterable[World], le_generators: Iterable[Pair]) -> Frame
 
 class Kernel:
     """Forcing over one model compiled to points 0..n-1, every set of points
-    an int bitmask.  up[i] holds the points at or above i; box[i] and dia[i]
-    hold the points that box and diamond read from i, and are None where the
-    semantics has no modal clauses.  Each semantics differs from the others
-    only in the rows it builds.  unknown(p) is the error for a point p that
-    index lacks."""
+    an int bitmask.  up[i] holds the points at or above i; rel[i] holds the
+    points that box and diamond read from i, and is None where the
+    semantics has no modal clauses.  With ik, box reads rel from every
+    point at or above i.  Each semantics differs from the others only in
+    the rows it builds.  unknown(p) is the error for a point p that index
+    lacks."""
 
     def __init__(self, index: Mapping, up: list[int], atoms: Mapping[str, int],
-                 box: list[int] | None = None, dia: list[int] | None = None,
+                 rel: list[int] | None = None, ik: bool = False,
                  unknown=UnknownWorldError):
-        self.index, self.up, self.atoms, self.box, self.dia = index, up, atoms, box, dia
+        self.index, self.up, self.atoms, self.rel, self.ik = index, up, atoms, rel, ik
         self.unknown = unknown
         self.full = (1 << len(up)) - 1  # every point
         # extensions of -> / [] / <> nodes, one dict per connective keyed by
@@ -325,19 +311,23 @@ class Kernel:
         return keys, exts
 
     def _select(self, cls, mask: int) -> int:
-        """Points whose row misses mask (-> over up; box over box, with the mask
-        turned), or meets it (diamond over dia: the rest).  For -> the mask is
-        A & ~B, for box and diamond the extension of the inner formula."""
-        if cls is not Implies and self.box is None:
+        """Points whose row misses mask (-> over up; box over rel, with the
+        mask turned), or meets it (diamond over rel: the rest).  For -> the
+        mask is A & ~B, for box and diamond the extension of the inner
+        formula.  With ik, box holds where every later point holds MK's box."""
+        rows = self.up if cls is Implies else self.rel
+        if rows is None:
             raise UnsupportedConnectiveError(
                 f"propositional models have no clause for {cls.__name__}")
-        rows, mask = (self.up, mask) if cls is Implies else \
-            (self.box, ~mask) if cls is Box else (self.dia, mask)
+        if cls is Box:
+            mask = ~mask
         out = 0
         for i, row in enumerate(rows):
             if not row & mask:
                 out |= 1 << i
-        return self.full & ~out if cls is Diamond else out
+        if cls is Implies or cls is Box and not self.ik:
+            return out
+        return self.full & ~out if cls is Diamond else self._select(Implies, self.full & ~out)
 
     def entailed(self, gamma: Iterable[Formula], f: Formula) -> int:
         """Bitmask of the points where gamma entails f: f's extension when

@@ -370,30 +370,37 @@ def _plain_block(m: HigherOrderModel) -> str | None:
     return _block_body(prop.frame, r, m.val) if plain else None
 
 
-def _higher_lines(m: HigherOrderModel, name: str) -> list[str]:
-    if m.level == 0:
-        body = _plain_block(m)
-        if body is not None:
-            return [f"model {name}", body]
-        atoms: dict = {}
-        for w, atom in m.val:
-            atoms.setdefault(w, []).append(atom)
-        names = m.object_names()
-        lines = [f"model {name}", "worlds " + " ".join(names)]
-        lines += [f"val {w} : {' '.join(sorted(atoms.get(w, ())))}".rstrip() for w in names]
-    else:
-        lines = [f"nmodel {name} level {m.level}"]
-        for child_name, child in m.objects:
-            lines.extend(_higher_lines(child, child_name))
-    for rel_name, pairs in m.relations:
-        lines += [f"rel {rel_name} {a} {b}" for a, b in sorted(pairs)] or [f"rel {rel_name}"]
-    lines.append("end")
-    return lines
-
-
 def dump_higher(m: HigherOrderModel, name: str = "H") -> str:
-    """An nmodel file of m.  A level-0 model is no nmodel block: ValueError."""
+    """An nmodel file of m, written from an explicit stack of (model, name)
+    pairs still to open and the closing rel and end lines of the blocks
+    still open.  A level-0 model is no nmodel block: ValueError."""
     if m.level == 0:
         raise ValueError("dump_higher writes models of level 1 and above; "
                          "a level-0 model is a plain model block")
-    return "\n".join(_higher_lines(m, name)) + "\n"
+    lines, todo = [], [(m, name)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):  # a block's closing lines
+            lines += item
+            continue
+        h, name = item
+        body = None if h.level else _plain_block(h)
+        if body is not None:
+            lines += [f"model {name}", body]
+            continue
+        if h.level:
+            lines.append(f"nmodel {name} level {h.level}")
+        else:
+            atoms: dict = {}
+            for w, atom in h.val:
+                atoms.setdefault(w, []).append(atom)
+            names = h.object_names()
+            lines += [f"model {name}", "worlds " + " ".join(names)]
+            lines += [f"val {w} : {' '.join(sorted(atoms.get(w, ())))}".rstrip() for w in names]
+        closing = []
+        for rel_name, pairs in h.relations:
+            closing += [f"rel {rel_name} {a} {b}" for a, b in sorted(pairs)] or [f"rel {rel_name}"]
+        todo.append(closing + ["end"])
+        if h.level:
+            todo += [(child, n) for n, child in reversed(h.objects)]
+    return "\n".join(lines) + "\n"

@@ -13,12 +13,12 @@ import imk.cli as cli
 from gen import (formula_pool, homogeneous_corpus, partial_corpus, random_birelational,
                  random_frame, random_valuation)
 from imk import (BirelationalModel, classify, entails, entails_homogeneous, entails_ik,
-                 entails_mk, entails_partial, flatten)
+                 entails_mk, entails_partial, flatten, is_unirelational)
 from imk.cli import UsageError, main
 from imk.formulas import ParseError, complexity, parse, render
 from imk.kripke import HeredityError, PropModel
-from imk.modelfile import (ModelFileError, dump_birelational, dump_general, dump_prop_model,
-                           load_path)
+from imk.modelfile import (ModelFileError, dump_birelational, dump_general, dump_higher,
+                           dump_prop_model, load_path)
 
 THREE_WORLD = """\
 model B
@@ -305,13 +305,17 @@ class TestCheckCommand:
         assert "use --at" in capsys.readouterr().err
 
     def test_nmodel_nested_3000_levels(self, tmp_path, capsys):
-        """Nesting depth costs no recursion, in the reader or the kernel."""
+        """Nesting depth costs no recursion, in the reader, the kernel,
+        dump_higher or is_unirelational."""
         depth = 3000
         lines = [f"nmodel N{i} level {i}" for i in range(depth, 0, -1)]
         lines += ["model K", "worlds w", "val w : p", "end", "rel r K K", "end"]
         lines += [f"rel r N{i} N{i}\nend" for i in range(1, depth)]
         path = tmp_path / "deep.km"
         path.write_text("\n".join(lines) + "\n")
+        model = load_path(path).as_higher()
+        assert dump_higher(model, f"N{depth}") == path.read_text()
+        assert is_unirelational(model)
         at = "w:K:" + ":".join(f"N{i}" for i in range(1, depth))
         for where, f, value in ((at, "p", "true"), (at, "[]p & <>~~p", "true"),
                                 (at, "<>~p", "false"), (f"N{depth - 1}", "[]p", "true")):

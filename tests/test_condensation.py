@@ -2,25 +2,41 @@
 
 Every frame closes its generator rows in one pass over their components,
 sinks first, when it is made; the plan of that pass (its components in that
-order, each with the components its generators reach) then drives IK's
-box rows and the walks of F1-F4.  build_frame's generators are its
-pairs, Frame(worlds, le) takes the pairs it checks, and sub_frame and
-flatten take closed rows.  These tests check all four against the pair
+order, each with the components its generators reach) then drives the
+walks of F1-F4.  build_frame's generators are its pairs, Frame(worlds, le)
+takes the pairs it checks, and sub_frame and flatten take closed rows.  These tests check all four against the pair
 oracles of tests/gen.py, on sparse generators with cycles (clusters) and
 with diamonds, 1-40 worlds (up to 80 flat worlds).
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from imk import (BirelationalModel, FlatWorld, PropModel, build_frame, check_condition,
                  classify, flatten, general_model, parse)
 from imk.birelational import CONDITIONS
-from imk.kripke import Frame, _image, sub_frame
+from imk.kripke import Frame, points, sub_frame
 
 from gen import (cluster_generators, naive_class, naive_closure, naive_condition,
                  naive_ik_forces, random_valuation)
+
+
+def _image(plan: list[tuple], rows: list[int]) -> list[int]:
+    """Row i is the union of rows over the points that point i reaches in
+    the plan: one row operation per point and per generator."""
+    done, out = [], [0] * len(rows)
+    for a, mates, succ in plan:
+        row = rows[a]
+        for b in mates:
+            row |= rows[b]
+        for c in succ:
+            row |= done[c]
+        done.append(row)
+        out[a] = row
+    return out
 
 
 def _frames(seed: int, sizes) -> list:
@@ -133,7 +149,9 @@ def test_ik_box_rows(frames):
         for fr in (frame, pairs):
             m = BirelationalModel(fr, _relation(rng, worlds),
                                   random_valuation(rng, fr, ["p", "q"]))
-            index, box = fr.compiled[0], m.ik_kernel.box
+            index, kernel = fr.compiled[0], m.ik_kernel
+            assert kernel.ik and kernel.rel == m.rows["r"]
+            box = [reduce(or_, (kernel.rel[j] for j in points(row)), 0) for row in kernel.up]
             assert {(a, j) for a in worlds for j in worlds if box[index[a]] >> index[j] & 1} \
                 == {(a, j) for a, v in fr.le for b, j in m.r if b == v}
             if len(worlds) <= 20:

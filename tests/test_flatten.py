@@ -6,7 +6,9 @@ from imk import (FlatWorld, build_frame, build_prop_model, classify,
                  equivalence_report, flatten, forces_ik, forces_mk,
                  forces_partial, forces_homogeneous, general_model, parse,
                  verify_flatten_class)
-from imk.general import InvalidModelClassError
+from imk.general import HomogeneousModel, InvalidModelClassError
+from imk.kripke import points
+from imk.search import SearchBounds, enumerate_models
 
 from gen import (formula_pool, homogeneous_corpus, pair_flat_frame, partial_corpus,
                  random_same_carrier_family)
@@ -180,3 +182,36 @@ class TestPointwiseAgreement:
                 for f in pool:
                     assert forces_homogeneous(h, k, w, f) == \
                         forces_mk(flat, FlatWorld(w, k), f)
+
+
+class TestKernelRows:
+    """The paper's equivalence for every formula at once: a family's cell
+    kernel, renumbered through FlatWorld, is the flat model's IK kernel
+    (partial families) or MK kernel (homogeneous ones).  Forcing reads
+    nothing but up, rel, ik and the atom masks, so equal rows make every
+    formula and every premise set agree at every cell."""
+
+    def test_cell_rows_are_the_flat_rows(self):
+        families = partial_corpus(300, seed=89) + homogeneous_corpus(300, seed=89)
+        for logic in ("partial", "homogeneous"):
+            families += enumerate_models(SearchBounds(logic, 2, 1, max_submodels=2))
+        for m in families:
+            mk = isinstance(m, HomogeneousModel)
+            flat = flatten(m.general)
+            kernel, want = m.kernel, flat.mk_kernel if mk else flat.ik_kernel
+            at = flat.frame.compiled[0]
+            to = [at[FlatWorld(w, k)] for k, w in kernel.index]  # cell number -> flat number
+
+            def moved(mask):
+                return sum(1 << to[i] for i in points(mask))
+
+            def rows(cell_rows):
+                out = [0] * len(cell_rows)
+                for i, row in enumerate(cell_rows):
+                    out[to[i]] = moved(row)
+                return out
+
+            assert kernel.ik == want.ik == (not mk)
+            assert rows(kernel.up) == list(want.up)
+            assert rows(kernel.rel) == list(want.rel)
+            assert {a: moved(mask) for a, mask in kernel.atoms.items()} == dict(want.atoms)
